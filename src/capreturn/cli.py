@@ -201,13 +201,12 @@ def _cmd_sweep(args) -> int:
 def _competing_report(doc: ScenarioDocument, tau: float, args) -> list[str]:
     intervals = doc.quadrature_intervals
     scenario = with_rotation(doc.scenario(), tau)
-    lines = [
-        f"  rroc = {rroc(scenario, intervals=intervals):.9g}",
-        f"  irr  = {growth_cycle_irr(scenario, tau, intervals=intervals):.9g}",
-    ]
+    s = rroc(scenario, intervals=intervals)
+    lines = [f"  rroc = {s:.9g}"]
+    if not scenario.investments:  # the growth-cycle IRR needs a cycle without events
+        lines.append(f"  irr  = {growth_cycle_irr(scenario, tau, intervals=intervals):.9g}")
     for d in args.d or []:
         lines.append(f"  npv(d={d:g}) = {npv(scenario, tau, d, intervals=intervals):.9g}")
-    s = rroc(scenario, intervals=intervals)
     for u in args.u or []:
         lines.append(f"  rroe(L={args.L:g}, u={u:g}) = {rroe(s, args.L, u):.9g}")
     return lines

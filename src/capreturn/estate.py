@@ -11,12 +11,14 @@ rates across the estate.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import DegenerateCapitalError
 from .growth import GrowthScenario, _segments
-from .quadrature import DEFAULT_INTERVALS, simpson_nodes
+from .paths import _require_within
+from .quadrature import DEFAULT_INTERVALS, _definite_integral
 
 
 class AgeDensity:
@@ -75,10 +77,15 @@ class TabulatedAgeDensity(AgeDensity):
         weights = np.array([w for _, w in self.knots])
         return float(np.trapezoid(weights, ages))
 
-    @property
+    @cached_property
     def renormalization_factor(self) -> float:
         """Scale applied to the raw weights so the density integrates to 1."""
         return 1.0 / self._raw_mass()
+
+    @cached_property
+    def _density_knots(self) -> tuple[np.ndarray, np.ndarray]:
+        ages = np.array([a for a, _ in self.knots])
+        return ages, np.array([w for _, w in self.knots]) * self.renormalization_factor
 
     def support(self, rotation_length: float) -> tuple[float, float]:
         return (self.knots[0][0], self.knots[-1][0])
@@ -87,9 +94,7 @@ class TabulatedAgeDensity(AgeDensity):
         return tuple(a for a, _ in self.knots)
 
     def density(self, ages: np.ndarray, rotation_length: float) -> np.ndarray:
-        xs = np.array([a for a, _ in self.knots])
-        ws = np.array([w for _, w in self.knots]) * self.renormalization_factor
-        return np.interp(ages, xs, ws, left=0.0, right=0.0)
+        return np.interp(ages, *self._density_knots, left=0.0, right=0.0)
 
 
 @dataclass(frozen=True)
@@ -100,13 +105,9 @@ class EstateSpec:
     ages: AgeDensity
 
     def __post_init__(self):
-        lo, hi = self.ages.support(self.site_scenario.rotation_length)
         tau = self.site_scenario.rotation_length
-        if lo < -1e-9 or hi > tau * (1.0 + 1e-12):
-            raise ValueError(
-                f"age density support [{lo:g}, {hi:g}] exceeds the rotation "
-                f"[0, {tau:g}]"
-            )
+        support = self.ages.support(tau)
+        _require_within("age density support", support, "rotation", (0.0, tau))
 
 
 def _weighted_integrals(
@@ -116,18 +117,19 @@ def _weighted_integrals(
     scenario = estate.site_scenario
     tau = scenario.rotation_length
     lo, hi = estate.ages.support(tau)
-    knots = tuple(a for a in estate.ages.knot_times(tau) if lo < a < hi)
-    capital_mass = 0.0
-    profit_mass = 0.0
-    rate_mass = 0.0
-    for step, ts, rates, capital in _segments(scenario, (lo, hi, *knots), intervals):
-        if ts[-1] <= lo or ts[0] >= hi:
-            continue  # outside the density support; weight is zero there
-        weights = estate.ages.density(ts, tau)
-        capital_mass += simpson_nodes(capital * weights, step)
-        profit_mass += simpson_nodes(capital * rates * weights, step)
-        rate_mass += simpson_nodes(rates * weights, step)
-    return capital_mass, profit_mass, rate_mass
+    cuts = (lo, hi, *estate.ages.knot_times(tau))
+    ts, steps, rates, capital = _segments(scenario, cuts, intervals)
+    weights = estate.ages.density(ts, tau)
+    # The density is zero outside its support; panels there get no weight
+    # even where the density jumps at a support end.
+    inside = (ts[:-2:2] >= lo) & (ts[2::2] <= hi)
+    if not inside.all():
+        steps = steps * inside
+    return (
+        _definite_integral(capital * weights, steps),
+        _definite_integral(capital * rates * weights, steps),
+        _definite_integral(rates * weights, steps),
+    )
 
 
 def estate_capitalization(

@@ -13,18 +13,17 @@ capital base that later growth compounds on.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateCapitalError, DomainError
-from .paths import ReturnPath
+from .errors import DegenerateCapitalError
+from .paths import ReturnPath, _require_within
 from .quadrature import (
     DEFAULT_INTERVALS,
-    _even_intervals,
+    _definite_integral,
+    _grid,
     cumulative_simpson_nodes,
-    simpson_nodes,
 )
 
 
@@ -55,12 +54,8 @@ class GrowthScenario:
             raise ValueError("initial_capital must be > 0")
         if self.rotation_length <= 0.0:
             raise ValueError("rotation_length must be > 0")
-        lo, hi = self.path.domain()
-        if 0.0 < lo or self.rotation_length > hi * (1.0 + 1e-12):
-            raise DomainError(
-                f"rotation [0, {self.rotation_length:g}] exceeds path domain "
-                f"[{lo:g}, {hi:g}]"
-            )
+        span = (0.0, self.rotation_length)
+        _require_within("rotation", span, "path domain", self.path.domain())
         times = [e.time for e in self.investments]
         if any(not 0.0 < t < self.rotation_length for t in times):
             raise ValueError("event times must lie strictly inside the rotation")
@@ -96,41 +91,39 @@ def with_rotation(scenario: GrowthScenario, rotation_length: float) -> GrowthSce
 
 
 def _segments(
-    scenario: GrowthScenario,
-    breakpoints: tuple[float, ...],
-    intervals: int,
-) -> list[tuple[float, np.ndarray, np.ndarray, np.ndarray]]:
-    """Node grids for each event-free stretch of the rotation.
+    scenario: GrowthScenario, cuts, intervals: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """One Simpson pass over the rotation, cut at every event, every path
+    kink and the extra ``cuts`` (e.g. density knots).
 
-    ``breakpoints`` must cover ``[0, rotation_length]`` and include every
-    event time; extra cut points (e.g. density knots) are allowed. Returns
-    one ``(step, times, rates, capital)`` tuple per stretch. Capital is
-    continuous except across event boundaries, where the event amount is
-    added before the next stretch starts.
+    Returns ``(times, steps, rates, capital)``: the nodes, the step of
+    each panel (see ``quadrature._grid``), and the spot rate and capital
+    at each node. Capital is ``base * exp(R)``, with ``R`` the running
+    integral of the rate; at each event the base moves by the event
+    amount discounted to time 0. Each event is a cut given twice, so it
+    gets a panel of zero width from its pre-jump to its post-jump node
+    and no panel straddles a capital jump.
+
+    Raises:
+        DegenerateCapitalError: at the first event that leaves capital
+            nonpositive.
     """
     tau = scenario.rotation_length
-    cuts = sorted({0.0, tau, *breakpoints, *(e.time for e in scenario.investments)})
-    jump_at = {e.time: e.amount for e in scenario.investments}
-
-    out = []
-    return_at_start = 0.0
-    # K(t) = scaled_base * exp(R(t)); events shift scaled_base by the
-    # event amount discounted back to time 0.
-    scaled_base = scenario.initial_capital
-    for a, b in zip(cuts, cuts[1:]):
-        if a in jump_at:
-            scaled_base += jump_at[a] * math.exp(-return_at_start)
-            if scaled_base <= 0.0:
-                raise DegenerateCapitalError(
-                    f"capital nonpositive just after event at t={a:g}"
-                )
-        n = max(8, _even_intervals(math.ceil(intervals * (b - a) / tau)))
-        ts = np.linspace(a, b, n + 1)
-        rates = scenario.path._rates(ts)
-        returns = return_at_start + cumulative_simpson_nodes(rates, (b - a) / n)
-        out.append(((b - a) / n, ts, rates, scaled_base * np.exp(returns)))
-        return_at_start = float(returns[-1])
-    return out
+    event_times = np.array([e.time for e in scenario.investments])
+    all_cuts = np.concatenate((event_times, event_times, scenario.path._kinks(), cuts))
+    times, steps = _grid(0.0, tau, all_cuts, intervals)
+    rates = scenario.path._clipped_rates(times)
+    returns = cumulative_simpson_nodes(rates, steps)
+    if not event_times.size:
+        return times, steps, rates, scenario.initial_capital * np.exp(returns)
+    after = np.searchsorted(times, event_times, "right") - 1  # post-jump nodes
+    amounts = np.array([e.amount for e in scenario.investments])
+    bases = np.cumsum(np.append(scenario.initial_capital, amounts * np.exp(-returns[after])))
+    if np.any(bases[1:] <= 0.0):
+        bad = event_times[np.argmax(bases[1:] <= 0.0)]
+        raise DegenerateCapitalError(f"capital nonpositive just after event at t={bad:g}")
+    base = bases[np.searchsorted(after, np.arange(times.size), "right")]
+    return times, steps, rates, base * np.exp(returns)
 
 
 def capital_at(
@@ -138,46 +131,25 @@ def capital_at(
 ) -> float:
     """Capital at time ``t`` within the rotation (currency).
 
-    At an event time the post-jump value is returned (the trajectory is
+    It is the last node of the Simpson pass over the rotation cut short
+    at ``t``, plus the amount of an event at exactly ``t``: at an event
+    time the post-jump value is returned (the trajectory is
     right-continuous).
 
     Raises:
         DomainError: if ``t`` is outside ``[0, rotation_length]``.
         DegenerateCapitalError: if capital is nonpositive at or before ``t``.
     """
-    if not 0.0 <= t <= scenario.rotation_length:
-        raise DomainError(
-            f"time {t:g} outside rotation [0, {scenario.rotation_length:g}]"
-        )
-    cumulative = 0.0
-    scaled_base = scenario.initial_capital  # K(t) = scaled_base * exp(R(t))
-    prev = 0.0
-    for event in scenario.investments:
-        if event.time > t:
-            break
-        cumulative += _span_return(scenario.path, prev, event.time, intervals)
-        scaled_base += event.amount * math.exp(-cumulative)
-        if scaled_base <= 0.0:
-            raise DegenerateCapitalError(
-                f"capital nonpositive just after event at t={event.time:g}"
-            )
-        prev = event.time
-    cumulative += _span_return(scenario.path, prev, t, intervals)
-    return scaled_base * math.exp(cumulative)
-
-
-def _span_return(path: ReturnPath, a: float, b: float, intervals: int) -> float:
-    """Cumulative return over ``[a, b]`` by Simpson quadrature."""
-    if b <= a:
-        return 0.0
-    lo, hi = path.domain()
-
-    def f(xs: np.ndarray) -> np.ndarray:
-        return path._rates(np.clip(xs, lo, hi))
-
-    n = _even_intervals(intervals)
-    ts = np.linspace(a, b, n + 1)
-    return simpson_nodes(f(ts), (b - a) / n)
+    _require_within("time", (t, t), "rotation", (0.0, scenario.rotation_length))
+    if t <= 0.0:
+        return scenario.initial_capital
+    t = min(t, scenario.rotation_length)  # the slack admits t, not a longer rotation
+    _, _, _, trajectory = _segments(with_rotation(scenario, t), (), intervals)
+    capital = float(trajectory[-1])
+    capital += sum(e.amount for e in scenario.investments if e.time == t)
+    if capital <= 0.0:
+        raise DegenerateCapitalError(f"capital nonpositive just after event at t={t:g}")
+    return capital
 
 
 def expected_values(
@@ -187,17 +159,14 @@ def expected_values(
 
     Both expectations integrate over the rotation with uniform time
     weighting: profit rate as the average of ``K(t) * r(t)`` and
-    capitalization as the average of ``K(t)``. Integration runs piecewise
-    between events so the capital jumps never cross a quadrature panel.
+    capitalization as the average of ``K(t)``. Both come from the one
+    Simpson pass of ``_segments``, whose panels stop at every event and
+    path kink.
     """
     tau = scenario.rotation_length
-    profit = 0.0
-    capitalization = 0.0
-    for step, _, rates, capital in _segments(scenario, (), intervals):
-        profit += simpson_nodes(capital * rates, step)
-        capitalization += simpson_nodes(capital, step)
-    profit /= tau
-    capitalization /= tau
+    _, steps, rates, capital = _segments(scenario, (), intervals)
+    profit = _definite_integral(capital * rates, steps) / tau
+    capitalization = _definite_integral(capital, steps) / tau
     if capitalization <= 0.0:
         raise DegenerateCapitalError("expected capitalization is nonpositive")
     return ExpectedValues(

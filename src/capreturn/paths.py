@@ -19,15 +19,30 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import DomainError
-from .quadrature import DEFAULT_INTERVALS, simpson
+from .quadrature import DEFAULT_INTERVALS, _definite_integral, _grid
 
 # Slack applied to domain checks so grid endpoints produced by float
 # arithmetic (e.g. linspace hitting the upper bound) are not rejected.
 _DOMAIN_SLACK = 1e-9
+
+
+def _require_within(what: str, span, where: str, bounds) -> None:
+    """Raise DomainError unless ``span`` lies inside the closed interval
+    ``bounds``, give or take one slack: ``_DOMAIN_SLACK`` times the
+    largest finite bound magnitude, at least 1. NaN lies nowhere. Every
+    domain check of the package goes through here.
+    """
+    (a, b), (lo, hi) = span, bounds
+    slack = _DOMAIN_SLACK * max([1.0, *(abs(x) for x in bounds if math.isfinite(x))])
+    if not (lo - slack <= a and b <= hi + slack):
+        raise DomainError(
+            f"{what} [{a:.12g}, {b:.12g}] exceeds {where} [{lo:.12g}, {hi:.12g}]"
+        )
 
 
 class ReturnPath:
@@ -41,19 +56,16 @@ class ReturnPath:
         """Vectorized evaluation without domain checks."""
         raise NotImplementedError
 
-    def _require_in_domain(self, ts: np.ndarray) -> None:
+    def _kinks(self):
+        """Times inside the domain where the rate has a kink; quadrature
+        grids cut there."""
+        return ()
+
+    def _clipped_rates(self, ts: np.ndarray) -> np.ndarray:
+        """Rates at ``ts`` moved into the domain, which absorbs the slack
+        the domain checks allow."""
         lo, hi = self.domain()
-        scale = max(
-            1.0,
-            abs(lo) if math.isfinite(lo) else 1.0,
-            abs(hi) if math.isfinite(hi) else 1.0,
-        )
-        slack = _DOMAIN_SLACK * scale
-        if np.any(ts < lo - slack) or np.any(ts > hi + slack):
-            raise DomainError(
-                f"time outside path domain [{lo:g}, {hi:g}]: "
-                f"{float(np.min(ts)):g}..{float(np.max(ts)):g}"
-            )
+        return self._rates(np.clip(ts, lo, hi))
 
     def evaluate(self, t):
         """Spot return rate at time ``t`` (scalar or ndarray), per year.
@@ -62,10 +74,9 @@ class ReturnPath:
             DomainError: if any requested time lies outside the domain.
         """
         ts = np.asarray(t, dtype=float)
-        self._require_in_domain(ts)
-        lo, hi = self.domain()
-        clipped = np.clip(ts, lo, hi)
-        out = self._rates(clipped)
+        if ts.size:
+            _require_within("times", (np.min(ts), np.max(ts)), "path domain", self.domain())
+        out = self._clipped_rates(ts)
         if ts.ndim == 0:
             return float(out)
         return out
@@ -73,20 +84,17 @@ class ReturnPath:
     def cumulative_return(self, t: float, *, intervals: int = DEFAULT_INTERVALS) -> float:
         """Integral of the spot rate from time 0 to ``t`` (dimensionless).
 
-        Computed by composite Simpson quadrature on a uniform grid of
-        ``intervals`` subintervals spanning ``[0, t]``.
+        Computed by composite Simpson quadrature of about ``intervals``
+        subintervals over ``[0, t]``, cut at the path's kinks.
         """
-        ts = np.asarray([0.0, t], dtype=float)
-        self._require_in_domain(ts)
+        _require_within("span", (0.0, t), "path domain", self.domain())
         if t < 0.0:
             raise DomainError("cumulative return runs forward from time 0")
-        lo, hi = self.domain()
-        upper = min(float(t), hi)  # strip domain slack before integrating
-
-        def f(xs: np.ndarray) -> np.ndarray:
-            return self._rates(np.clip(xs, lo, hi))
-
-        return simpson(f, 0.0, upper, intervals)
+        upper = min(t, self.domain()[1])  # the slack admits t, not a longer integral
+        if upper <= 0.0:
+            return 0.0
+        ts, steps = _grid(0.0, upper, self._kinks(), intervals)
+        return _definite_integral(self._clipped_rates(ts), steps)
 
     def time_average_rate(self, horizon: float, *, intervals: int = DEFAULT_INTERVALS) -> float:
         """Average spot rate over ``[0, horizon]``, per year.
@@ -162,10 +170,16 @@ class TabulatedPath(ReturnPath):
     def domain(self) -> tuple[float, float]:
         return (self.knots[0][0], self.knots[-1][0])
 
+    @cached_property
+    def _knot_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        times, rates = (np.array(column, dtype=float) for column in zip(*self.knots))
+        return times, rates
+
+    def _kinks(self):
+        return self._knot_arrays[0][1:-1]
+
     def _rates(self, ts: np.ndarray) -> np.ndarray:
-        times = np.array([t for t, _ in self.knots])
-        rates = np.array([r for _, r in self.knots])
-        return np.interp(ts, times, rates)
+        return np.interp(ts, *self._knot_arrays)
 
 
 @dataclass(frozen=True)
@@ -180,6 +194,8 @@ class ReversedPath(ReturnPath):
         lo, hi = self.inner.domain()
         return (self.horizon - hi, self.horizon - lo)
 
+    def _kinks(self):
+        return self.horizon - np.asarray(self.inner._kinks(), dtype=float)
+
     def _rates(self, ts: np.ndarray) -> np.ndarray:
-        ilo, ihi = self.inner.domain()
-        return self.inner._rates(np.clip(self.horizon - ts, ilo, ihi))
+        return self.inner._clipped_rates(self.horizon - ts)

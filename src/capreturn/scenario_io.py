@@ -37,12 +37,13 @@ import math
 from dataclasses import dataclass
 from collections.abc import Sequence
 
-from .errors import ScenarioParseError, ScenarioValidationError
+from .errors import DomainError, ScenarioParseError, ScenarioValidationError
 from .estate import AgeDensity, EstateSpec, TabulatedAgeDensity, UniformAgeDensity
 from .growth import GrowthScenario, InvestmentEvent
 from .irr import CashEvent, CashFlowSchedule
 from .leverage import LeverageSpec
 from .paths import ConstantPath, ReturnPath, ReversedPath, SinSquaredPath, TabulatedPath
+from .paths import _require_within
 from .quadrature import DEFAULT_INTERVALS
 
 SCHEMA_VERSION = 1
@@ -236,9 +237,10 @@ def parse_scenario(text: str) -> ScenarioDocument:
     else:
         path_obj = _parse_path(raw["path"], check, "path")
     if path_obj is not None and tau is not None:
-        lo, hi = path_obj.domain()
-        if lo > 0.0 or tau > hi * (1.0 + 1e-12):
-            check.fail("tau", f"rotation [0, {tau:g}] exceeds path domain [{lo:g}, {hi:g}]")
+        try:
+            _require_within("rotation", (0.0, tau), "path domain", path_obj.domain())
+        except DomainError as exc:
+            check.fail("tau", str(exc))
 
     investments = _parse_investments(raw.get("investments", []), check, tau)
     valuation = _parse_valuation(raw.get("valuation"), check)
@@ -372,9 +374,10 @@ def _parse_ages(obj, check: _Check, tau) -> AgeDensity | None:
             check.fail("estate.ages.knots", str(exc))
             return None
         if tau is not None:
-            lo, hi = density.support(tau)
-            if lo < -1e-9 or hi > tau * (1.0 + 1e-12):
-                check.fail("estate.ages.knots", "support must lie within [0, tau]")
+            try:
+                _require_within("support", density.support(tau), "rotation", (0.0, tau))
+            except DomainError as exc:
+                check.fail("estate.ages.knots", str(exc))
                 return None
         return density
     check.fail("estate.ages.kind", "must be 'uniform' or 'tabulated'")

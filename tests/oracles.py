@@ -37,6 +37,29 @@ def capital_by_stepping(path, initial, events, t: float, steps_per_unit: int = 2
     return capital
 
 
+def linear_rate_integral(knots, a: float, b: float) -> float:
+    """Exact integral over ``[a, b]`` of the piecewise-linear rate
+    through ``knots``: the trapezoid rule on the knots and both ends."""
+    times, rates = (np.array(column, dtype=float) for column in zip(*knots))
+    inside = (times > a) & (times < b)
+    xs = np.concatenate(([a], times[inside], [b]))
+    ys = np.interp(xs, times, rates)
+    return float(np.sum(np.diff(xs) * (ys[:-1] + ys[1:]) / 2.0))
+
+
+def capital_by_spans(span, initial, events, t: float) -> float:
+    """Capital at time t (post-jump at an event time) by compounding
+    ``exp(span(a, b))`` between events, where ``span`` is an exact
+    integral of the rate."""
+    capital, previous = initial, 0.0
+    for event in events:
+        if event.time > t:
+            break
+        capital = capital * np.exp(span(previous, event.time)) + event.amount
+        previous = event.time
+    return float(capital * np.exp(span(previous, t)))
+
+
 def npv_rotation_series(
     initial: float, avg_rate: float, tau: float, d: float, terms: int = 200
 ) -> float:

@@ -206,6 +206,20 @@ class TestOptimize:
         assert "npv(d=0.03)" in out
         assert "rroe(L=1, u=0.02)" in out
 
+    def test_optimum_keeping_an_event_reports_without_irr(self, tmp_path, capsys):
+        doc = {
+            "K0": 1.0,
+            "tau": 10.0,
+            "path": {"kind": "tabulated", "knots": [[0.0, 0.01], [10.0, 0.09]]},
+            "investments": [{"time": 2.0, "amount": 0.5}],
+        }
+        scenario = tmp_path / "events.json"
+        scenario.write_text(json.dumps(doc))
+        assert main(["optimize", "--scenario", str(scenario), "--objective", "rroc"]) == 0
+        out = capsys.readouterr().out
+        assert "rroc = " in out
+        assert "irr" not in out
+
 
 class TestIrrCommand:
     def test_breakeven(self, tmp_path, capsys):

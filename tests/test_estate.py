@@ -1,5 +1,6 @@
 """Facility-level aggregation over an age distribution of sites."""
 
+import json
 import math
 
 import pytest
@@ -8,24 +9,39 @@ from capreturn import (
     ConstantPath,
     EstateSpec,
     GrowthScenario,
+    InvestmentEvent,
+    ReversedPath,
     SinSquaredPath,
     TabulatedAgeDensity,
+    TabulatedPath,
     UniformAgeDensity,
     area_average_rate,
     estate_capitalization,
     estate_rroc,
     expected_capitalization,
     growth_cycle_irr,
+    parse_scenario,
     rroc,
 )
-from oracles import midpoint_integral
+from oracles import linear_rate_integral, midpoint_integral
 
 MEAN, SHAPE, CYCLE = 0.05, 0.5, 100.0
+# Kinks off every uniform grid over [0, 20].
+KINKED = ((0.0, 0.08), (3.3, 0.01), (7.77, 0.06), (12.1, -0.02), (16.45, 0.05), (20.0, 0.03))
 
 
 def hump_estate(ages=None):
     scenario = GrowthScenario(1.0, CYCLE, SinSquaredPath(MEAN, SHAPE, CYCLE))
     return EstateSpec(scenario, ages if ages is not None else UniformAgeDensity())
+
+
+def estate_document(knots):
+    return json.dumps({
+        "K0": 1.0,
+        "tau": CYCLE,
+        "path": {"kind": "constant", "rate": MEAN},
+        "estate": {"ages": {"kind": "tabulated", "knots": knots}},
+    })
 
 
 class TestUniformAges:
@@ -61,6 +77,16 @@ class TestUniformAges:
         assert area_average_rate(estate) == pytest.approx(
             scenario.path.time_average_rate(37.0), abs=1e-10
         )
+
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_area_average_exact_on_tabulated_path_with_events(self, reverse):
+        path = TabulatedPath(KINKED)
+        if reverse:
+            path = ReversedPath(path, 20.0)
+        events = (InvestmentEvent(5.2, 0.6), InvestmentEvent(12.1, -0.4))
+        estate = EstateSpec(GrowthScenario(1.5, 20.0, path, events), UniformAgeDensity())
+        exact = linear_rate_integral(KINKED, 0.0, 20.0) / 20.0
+        assert area_average_rate(estate) == pytest.approx(exact, rel=1e-12)
 
     def test_irr_is_not_representative_of_estate_return(self):
         estate = hump_estate()
@@ -134,6 +160,20 @@ class TestTabulatedAges:
             TabulatedAgeDensity(((0.0, -1.0), (1.0, 2.0)))
         with pytest.raises(ValueError):
             TabulatedAgeDensity(((0.0, 0.0), (1.0, 0.0)))
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda knots: EstateSpec(hump_estate().site_scenario, TabulatedAgeDensity(knots)),
+            lambda knots: parse_scenario(estate_document(knots)),
+        ],
+        ids=["EstateSpec", "parse_scenario"],
+    )
+    def test_support_end_within_one_slack_of_the_rotation(self, build):
+        # The slack at a 100-year rotation is 1e-7.
+        build(((0.0, 1.0), (CYCLE + 5e-8, 1.0)))
+        with pytest.raises(ValueError):
+            build(((0.0, 1.0), (CYCLE + 2e-7, 1.0)))
 
     def test_support_must_fit_the_rotation(self):
         scenario = GrowthScenario(1.0, 10.0, ConstantPath(0.05))

@@ -1,5 +1,6 @@
 """Capital trajectories and rotation-averaged return on capital."""
 
+import json
 import math
 
 import numpy as np
@@ -20,12 +21,23 @@ from capreturn import (
     expected_capitalization,
     expected_profit_rate,
     expected_values,
+    parse_scenario,
     rroc,
     with_rotation,
 )
-from oracles import capital_by_stepping, midpoint_integral
+from oracles import (
+    capital_by_spans,
+    capital_by_stepping,
+    linear_rate_integral,
+    midpoint_integral,
+)
 
 MEAN, SHAPE, CYCLE = 0.05, 0.5, 100.0
+# Kinks off every uniform grid over [0, 20].
+KINKED = ((0.0, 0.08), (3.3, 0.01), (7.77, 0.06), (12.1, -0.02), (16.45, 0.05), (20.0, 0.03))
+# Half of the domain slack past the end of a 100-year domain, and two slacks.
+HALF_SLACK, TWO_SLACKS = 5e-8, 2e-7
+HUMP_JSON = {"kind": "sin_squared", "mean_rate": MEAN, "shape": SHAPE, "full_cycle": CYCLE}
 
 
 def hump_scenario(tau=CYCLE, k0=1.0):
@@ -60,11 +72,36 @@ class TestCapitalAt:
         )
         assert capital_at(s, 5.0) == pytest.approx(1.5)
 
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_exact_on_tabulated_path_with_events(self, reverse):
+        path = TabulatedPath(KINKED)
+        if reverse:
+            path = ReversedPath(path, 20.0)
+
+        def span(a, b):
+            if reverse:
+                return linear_rate_integral(KINKED, 20.0 - b, 20.0 - a)
+            return linear_rate_integral(KINKED, a, b)
+
+        events = (InvestmentEvent(5.2, 0.6), InvestmentEvent(12.1, -0.4))
+        s = GrowthScenario(1.5, 20.0, path, events)
+        for t in (3.0, 5.2, 9.9, 20.0):
+            exact = capital_by_spans(span, 1.5, events, t)
+            assert capital_at(s, t) == pytest.approx(exact, rel=1e-12)
+        # Accrual profit over the rotation is the capital gained net of
+        # the amounts put in.
+        gain = capital_by_spans(span, 1.5, events, 20.0) - 1.5 - 0.2
+        assert expected_profit_rate(s) * 20.0 == pytest.approx(gain, rel=1e-12)
+
     def test_outside_rotation_rejected(self):
         with pytest.raises(DomainError):
             capital_at(hump_scenario(), CYCLE + 1.0)
         with pytest.raises(DomainError):
             capital_at(hump_scenario(), -0.5)
+
+    def test_slack_does_not_lengthen_the_rotation(self):
+        s = hump_scenario()
+        assert capital_at(s, CYCLE + HALF_SLACK) == capital_at(s, CYCLE)
 
     def test_divestment_below_zero_is_degenerate(self):
         s = GrowthScenario(
@@ -86,6 +123,19 @@ class TestScenarioValidation:
     def test_rotation_beyond_path_domain_rejected(self):
         with pytest.raises(DomainError):
             GrowthScenario(1.0, CYCLE + 1.0, SinSquaredPath(MEAN, SHAPE, CYCLE))
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda tau: GrowthScenario(1.0, tau, SinSquaredPath(MEAN, SHAPE, CYCLE)),
+            lambda tau: parse_scenario(json.dumps({"K0": 1.0, "tau": tau, "path": HUMP_JSON})),
+        ],
+        ids=["GrowthScenario", "parse_scenario"],
+    )
+    def test_one_slack_at_the_domain_end(self, build):
+        build(CYCLE + HALF_SLACK)
+        with pytest.raises(ValueError, match="100.0000002"):
+            build(CYCLE + TWO_SLACKS)
 
     def test_event_outside_rotation_rejected(self):
         with pytest.raises(ValueError):

@@ -12,9 +12,13 @@ from capreturn import (
     SinSquaredPath,
     TabulatedPath,
 )
-from oracles import midpoint_integral
+from oracles import linear_rate_integral, midpoint_integral
 
 MEAN, SHAPE, CYCLE = 0.05, 0.5, 100.0
+# Kinks off every uniform grid over [0, 20].
+KINKED = ((0.0, 0.08), (3.3, 0.01), (7.77, 0.06), (12.1, -0.02), (16.45, 0.05), (20.0, 0.03))
+# Half of the domain slack past the end of a 100-year domain, and two slacks.
+HALF_SLACK, TWO_SLACKS = 5e-8, 2e-7
 
 
 @pytest.fixture
@@ -50,6 +54,11 @@ class TestEvaluate:
         path = TabulatedPath(((1.0, 0.02), (2.0, 0.04)))
         with pytest.raises(DomainError):
             path.evaluate(0.5)
+
+    def test_one_slack_at_the_domain_end(self, hump):
+        assert hump.evaluate(CYCLE + HALF_SLACK) == pytest.approx(SHAPE * MEAN)
+        with pytest.raises(DomainError, match="100.0000002"):
+            hump.evaluate(CYCLE + TWO_SLACKS)
 
     def test_vectorized_evaluation(self, hump):
         ts = np.array([0.0, 25.0, 50.0])
@@ -95,6 +104,21 @@ class TestCumulativeReturn:
         path = TabulatedPath(((0.0, 0.08), (4.0, 0.01), (9.0, 0.06), (20.0, 0.02)))
         oracle = midpoint_integral(path.evaluate, 0.0, 17.0)
         assert path.cumulative_return(17.0) == pytest.approx(oracle, abs=1e-6)
+
+    def test_tabulated_exact_across_knots_off_the_grid(self):
+        path = TabulatedPath(KINKED)
+        rev = ReversedPath(path, 20.0)
+        for t in (5.0, 13.37, 20.0):
+            exact = linear_rate_integral(KINKED, 0.0, t)
+            assert path.cumulative_return(t) == pytest.approx(exact, rel=1e-12)
+            exact = linear_rate_integral(KINKED, 20.0 - t, 20.0)
+            assert rev.cumulative_return(t) == pytest.approx(exact, rel=1e-12)
+
+    def test_one_slack_at_the_domain_end(self, hump):
+        # The slack admits the time but does not lengthen the integral.
+        assert hump.cumulative_return(CYCLE + HALF_SLACK) == hump.cumulative_return(CYCLE)
+        with pytest.raises(DomainError, match="100.0000002"):
+            hump.cumulative_return(CYCLE + TWO_SLACKS)
 
     def test_negative_rates_allowed(self):
         path = TabulatedPath(((0.0, -0.05), (10.0, 0.05)))
