@@ -203,10 +203,10 @@ def _competing_report(doc: ScenarioDocument, tau: float, args) -> list[str]:
     scenario = with_rotation(doc.scenario(), tau)
     s = rroc(scenario, intervals=intervals)
     lines = [f"  rroc = {s:.9g}"]
-    if not scenario.investments:  # the growth-cycle IRR needs a cycle without events
+    if not scenario.investments:  # the IRR and present values need a cycle without events
         lines.append(f"  irr  = {growth_cycle_irr(scenario, tau, intervals=intervals):.9g}")
-    for d in args.d or []:
-        lines.append(f"  npv(d={d:g}) = {npv(scenario, tau, d, intervals=intervals):.9g}")
+        for d in args.d or []:
+            lines.append(f"  npv(d={d:g}) = {npv(scenario, tau, d, intervals=intervals):.9g}")
     for u in args.u or []:
         lines.append(f"  rroe(L={args.L:g}, u={u:g}) = {rroe(s, args.L, u):.9g}")
     return lines
@@ -266,7 +266,10 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     handlers = {"sweep": _cmd_sweep, "optimize": _cmd_optimize, "irr": _cmd_irr}
     try:
-        return handlers[args.command](args)
+        # Overflow ends in a typed error (capital beyond float range, a root
+        # that does not converge); numpy's warnings would only precede it.
+        with np.errstate(over="ignore", invalid="ignore"):
+            return handlers[args.command](args)
     except (CapReturnError, OSError, ValueError) as exc:
         print(f"capreturn {args.command}: error: {exc}", file=sys.stderr)
         return 1

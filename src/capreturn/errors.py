@@ -12,7 +12,8 @@ class DomainError(CapReturnError, ValueError):
 
 
 class DegenerateCapitalError(CapReturnError, ArithmeticError):
-    """Capital reached a nonpositive value, so return rates are undefined."""
+    """Capital reached a value nonpositive or beyond float range, so return
+    rates are undefined."""
 
 
 class UnsupportedScheduleError(CapReturnError, ValueError):

@@ -10,6 +10,7 @@ rates across the estate.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -125,11 +126,14 @@ def _weighted_integrals(
     inside = (ts[:-2:2] >= lo) & (ts[2::2] <= hi)
     if not inside.all():
         steps = steps * inside
-    return (
+    integrals = (
         _definite_integral(capital * weights, steps),
         _definite_integral(capital * rates * weights, steps),
         _definite_integral(rates * weights, steps),
     )
+    if not all(map(math.isfinite, integrals)):
+        raise DegenerateCapitalError("age-weighted capital is beyond float range")
+    return integrals
 
 
 def estate_capitalization(

@@ -13,6 +13,7 @@ capital base that later growth compounds on.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -106,7 +107,8 @@ def _segments(
 
     Raises:
         DegenerateCapitalError: at the first event that leaves capital
-            nonpositive.
+            nonpositive, or at the first node where capital is beyond
+            float range.
     """
     tau = scenario.rotation_length
     event_times = np.array([e.time for e in scenario.investments])
@@ -115,15 +117,19 @@ def _segments(
     rates = scenario.path._clipped_rates(times)
     returns = cumulative_simpson_nodes(rates, steps)
     if not event_times.size:
-        return times, steps, rates, scenario.initial_capital * np.exp(returns)
-    after = np.searchsorted(times, event_times, "right") - 1  # post-jump nodes
-    amounts = np.array([e.amount for e in scenario.investments])
-    bases = np.cumsum(np.append(scenario.initial_capital, amounts * np.exp(-returns[after])))
-    if np.any(bases[1:] <= 0.0):
-        bad = event_times[np.argmax(bases[1:] <= 0.0)]
-        raise DegenerateCapitalError(f"capital nonpositive just after event at t={bad:g}")
-    base = bases[np.searchsorted(after, np.arange(times.size), "right")]
-    return times, steps, rates, base * np.exp(returns)
+        capital = scenario.initial_capital * np.exp(returns)
+    else:
+        after = np.searchsorted(times, event_times, "right") - 1  # post-jump nodes
+        amounts = np.array([e.amount for e in scenario.investments])
+        bases = np.cumsum(np.append(scenario.initial_capital, amounts * np.exp(-returns[after])))
+        if np.any(bases[1:] <= 0.0):
+            bad = event_times[np.argmax(bases[1:] <= 0.0)]
+            raise DegenerateCapitalError(f"capital nonpositive just after event at t={bad:g}")
+        capital = bases[np.searchsorted(after, np.arange(times.size), "right")] * np.exp(returns)
+    if not math.isfinite(capital.max()):  # NaN propagates through max
+        bad = times[np.argmin(np.isfinite(capital))]
+        raise DegenerateCapitalError(f"capital beyond float range at t={bad:g}")
+    return times, steps, rates, capital
 
 
 def capital_at(
@@ -167,6 +173,8 @@ def expected_values(
     _, steps, rates, capital = _segments(scenario, (), intervals)
     profit = _definite_integral(capital * rates, steps) / tau
     capitalization = _definite_integral(capital, steps) / tau
+    if not (math.isfinite(profit) and math.isfinite(capitalization)):
+        raise DegenerateCapitalError("expected capital is beyond float range")
     if capitalization <= 0.0:
         raise DegenerateCapitalError("expected capitalization is nonpositive")
     return ExpectedValues(

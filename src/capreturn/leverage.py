@@ -24,17 +24,23 @@ from .optimize import refine_argmax
 from .quadrature import DEFAULT_INTERVALS
 
 
+def _require_leverage(leverage: float) -> None:
+    """Raise InvalidLeverageError for a leverage ratio below -1: no more
+    than all of the equity can be lent out."""
+    if leverage < -1.0:
+        raise InvalidLeverageError("leverage ratio cannot be below -1")
+
+
 @dataclass(frozen=True)
 class LeverageSpec:
     """Leverage ratio, market interest rate, and optional explicit equity."""
 
     leverage: float
-    market_rate: float
+    market_rate: float = 0.0
     equity: float | None = None
 
     def __post_init__(self):
-        if self.leverage < -1.0:
-            raise InvalidLeverageError("leverage ratio cannot be below -1")
+        _require_leverage(self.leverage)
         if self.equity is not None and self.equity <= 0.0:
             raise ValueError("equity must be > 0")
 
@@ -46,8 +52,7 @@ def rroe(return_on_capital: float, leverage: float, market_rate: float) -> float
     return ``s`` over the market rate ``u``; at leverage -1 everything
     is lent and the result is the market rate itself.
     """
-    if leverage < -1.0:
-        raise InvalidLeverageError("leverage ratio cannot be below -1")
+    _require_leverage(leverage)
     if leverage == -1.0:
         return market_rate
     return return_on_capital + leverage * (return_on_capital - market_rate)
@@ -77,8 +82,7 @@ def leveraged_discount_rate(
         raise UnsupportedScheduleError(
             "the break-even rate is defined for investment-free rotations"
         )
-    if leverage < -1.0:
-        raise InvalidLeverageError("leverage ratio cannot be below -1")
+    _require_leverage(leverage)
     tau = rotation_length
     avg = scenario.path.time_average_rate(tau, intervals=intervals)
     inner = 1.0 + leverage * (1.0 - math.exp(-tau * (avg - market_rate)))

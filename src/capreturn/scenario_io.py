@@ -4,8 +4,7 @@ A scenario document is a JSON object with these keys:
 
 * ``schema_version`` — optional, defaults to 1 (the only version).
 * ``K0`` — initial capital, > 0. Required.
-* ``tau`` — rotation length in years, > 0, inside the path domain.
-  Required.
+* ``tau`` — rotation length, > 0, inside the path domain. Required.
 * ``path`` — required object with a ``kind`` discriminator:
   ``{"kind": "constant", "rate": ...}``,
   ``{"kind": "sin_squared", "mean_rate": ..., "shape": ...,
@@ -15,17 +14,25 @@ A scenario document is a JSON object with these keys:
 * ``investments`` — optional list of ``{"time": ..., "amount": ...}``
   with times strictly increasing, strictly inside ``(0, tau)``.
 * ``valuation`` — optional ``{"discount_rate": >0, "market_rate": ...,
-  "leverage": >=-1}``.
+  "leverage": >=-1}``; the last two default to 0.
 * ``leverage`` — optional ``{"leverage": >=-1, "market_rate": ...,
-  "equity": >0}``. When equity is given it must satisfy
+  "equity": >0}``; the market rate defaults to 0 and equity is
+  optional. When equity is given it must satisfy
   ``K0 / equity == leverage + 1`` to 1e-9.
 * ``estate`` — optional ``{"ages": {"kind": "uniform"}}`` or
   ``{"ages": {"kind": "tabulated", "knots": [[age, weight], ...]}}``.
-* ``quadrature_intervals`` — optional, default 4096.
+* ``quadrature_intervals`` — optional integer in ``[2, 2**20]``,
+  default 4096.
 
-All rates are per year and all times in years. Unknown keys anywhere
-are rejected. Parsing reports every violated invariant at once, each
-with its key path.
+All rates are per year and all times in years. Every number must be
+finite; unknown keys anywhere are rejected. Parsing reports every
+violated invariant at once, each with its key path.
+
+Each object below the top level is built through its dataclass, whose
+field names are its keys (plus ``kind``). The constructor is the one
+check of the object's own invariants; a value it rejects is reported at
+the object's key path, with the constructor's message. The parser checks
+what spans objects: ``tau``, event times, support and equity identity.
 """
 
 from __future__ import annotations
@@ -34,22 +41,26 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from collections.abc import Sequence
 
 from .errors import DomainError, ScenarioParseError, ScenarioValidationError
 from .estate import AgeDensity, EstateSpec, TabulatedAgeDensity, UniformAgeDensity
 from .growth import GrowthScenario, InvestmentEvent
 from .irr import CashEvent, CashFlowSchedule
-from .leverage import LeverageSpec
+from .leverage import LeverageSpec, _require_leverage
 from .paths import ConstantPath, ReturnPath, ReversedPath, SinSquaredPath, TabulatedPath
 from .paths import _require_within
 from .quadrature import DEFAULT_INTERVALS
+from .valuation import _require_discount
 
 SCHEMA_VERSION = 1
 
 #: Tolerance on the capital/equity/leverage identity K0/E == L + 1.
 LEVERAGE_IDENTITY_TOLERANCE = 1e-9
+
+#: Largest accepted ``quadrature_intervals``; it sizes every node array.
+MAX_INTERVALS = 2**20
 
 
 @dataclass(frozen=True)
@@ -60,6 +71,10 @@ class ValuationSpec:
     discount_rate: float
     market_rate: float = 0.0
     leverage: float = 0.0
+
+    def __post_init__(self):
+        _require_discount(self.discount_rate)
+        _require_leverage(self.leverage)
 
 
 @dataclass(frozen=True)
@@ -90,6 +105,12 @@ class ScenarioDocument:
         return EstateSpec(site_scenario=self.scenario(), ages=self.ages)
 
 
+#: The object kinds of the ``path`` and ``estate.ages`` sections.
+_PATHS = {"constant": ConstantPath, "sin_squared": SinSquaredPath,
+          "tabulated": TabulatedPath, "reversed": ReversedPath}
+_AGES = {"uniform": UniformAgeDensity, "tabulated": TabulatedAgeDensity}
+
+
 class _Check:
     """Collects (key_path, message) pairs so every violation is reported."""
 
@@ -103,56 +124,61 @@ class _Check:
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             self.fail(path, "must be a number")
             return None
-        return float(value)
+        try:
+            number = float(value)
+        except OverflowError:  # an integer beyond float range
+            number = math.inf
+        if not math.isfinite(number):
+            self.fail(path, "must be a finite number")
+            return None
+        return number
 
-    def known_keys(self, obj: dict, allowed: set[str], path: str) -> None:
+    def known_keys(self, obj: dict, allowed, path: str) -> None:
         for key in obj:
             if key not in allowed:
                 self.fail(f"{path}.{key}" if path else key, "unknown key")
 
 
-def _parse_path(obj, check: _Check, path: str) -> ReturnPath | None:
+def _build(spec, obj, check: _Check, key: str):
+    """The object at ``key``, built through its dataclass fields, or None
+    after recording why not.
+
+    ``spec`` is the class itself, or a table of classes by ``kind``. The
+    ``knots`` field reads as [time, value] pairs, ``inner`` as a path and
+    every other field as a number; an absent field with a default keeps
+    it. A ValueError from the constructor is reported at ``key``.
+    """
     if not isinstance(obj, dict):
-        check.fail(path, "must be an object")
+        check.fail(key, "must be an object")
         return None
-    kind = obj.get("kind")
-    if kind == "constant":
-        check.known_keys(obj, {"kind", "rate"}, path)
-        rate = check.number(obj.get("rate"), f"{path}.rate")
-        return ConstantPath(rate) if rate is not None else None
-    if kind == "sin_squared":
-        check.known_keys(obj, {"kind", "mean_rate", "shape", "full_cycle"}, path)
-        mean = check.number(obj.get("mean_rate"), f"{path}.mean_rate")
-        shape = check.number(obj.get("shape"), f"{path}.shape")
-        cycle = check.number(obj.get("full_cycle"), f"{path}.full_cycle")
-        if None in (mean, shape, cycle):
+    cls, allowed = spec, set()
+    if isinstance(spec, dict):
+        kind = obj.get("kind")
+        cls = spec.get(kind) if isinstance(kind, str) else None
+        if cls is None:
+            check.fail(f"{key}.kind", "must be one of " + ", ".join(map(repr, spec)))
             return None
-        if cycle <= 0.0:
-            check.fail(f"{path}.full_cycle", "must be > 0")
-            return None
-        return SinSquaredPath(mean_rate=mean, shape=shape, full_cycle=cycle)
-    if kind == "tabulated":
-        check.known_keys(obj, {"kind", "knots"}, path)
-        knots = _parse_knots(obj.get("knots"), check, f"{path}.knots")
-        if knots is None:
-            return None
-        try:
-            return TabulatedPath(knots)
-        except ValueError as exc:
-            check.fail(f"{path}.knots", str(exc))
-            return None
-    if kind == "reversed":
-        check.known_keys(obj, {"kind", "inner", "horizon"}, path)
-        inner = _parse_path(obj.get("inner"), check, f"{path}.inner")
-        horizon = check.number(obj.get("horizon"), f"{path}.horizon")
-        if inner is None or horizon is None:
-            return None
-        return ReversedPath(inner=inner, horizon=horizon)
-    check.fail(
-        f"{path}.kind",
-        "must be one of 'constant', 'sin_squared', 'tabulated', 'reversed'",
-    )
-    return None
+        allowed.add("kind")
+    own = fields(cls)
+    check.known_keys(obj, allowed.union(f.name for f in own), key)
+    values = {}
+    for f in own:
+        if f.name not in obj and f.default is not MISSING:
+            continue
+        where = f"{key}.{f.name}"
+        if f.name == "knots":
+            values[f.name] = _parse_knots(obj.get(f.name), check, where)
+        elif f.name == "inner":
+            values[f.name] = _build(_PATHS, obj.get(f.name), check, where)
+        else:
+            values[f.name] = check.number(obj.get(f.name), where)
+    if None in values.values():
+        return None
+    try:
+        return cls(**values)
+    except ValueError as exc:
+        check.fail(key, str(exc))
+        return None
 
 
 def _parse_knots(obj, check: _Check, path: str) -> tuple[tuple[float, float], ...] | None:
@@ -193,49 +219,22 @@ def parse_scenario(text: str) -> ScenarioDocument:
         raise ScenarioValidationError([("", "document must be a JSON object")])
 
     check = _Check()
-    check.known_keys(
-        raw,
-        {
-            "schema_version",
-            "K0",
-            "tau",
-            "path",
-            "investments",
-            "valuation",
-            "leverage",
-            "estate",
-            "quadrature_intervals",
-        },
-        "",
-    )
+    top_level = ("schema_version", "K0", "tau", "path", "investments", "valuation",
+                 "leverage", "estate", "quadrature_intervals")
+    check.known_keys(raw, top_level, "")
 
     version = raw.get("schema_version", SCHEMA_VERSION)
     if version != SCHEMA_VERSION:
         check.fail("schema_version", f"unsupported version (expected {SCHEMA_VERSION})")
 
-    if "K0" not in raw:
-        check.fail("K0", "required")
-        k0 = None
-    else:
-        k0 = check.number(raw["K0"], "K0")
-        if k0 is not None and k0 <= 0.0:
-            check.fail("K0", "must be > 0")
-            k0 = None
-
-    if "tau" not in raw:
-        check.fail("tau", "required")
-        tau = None
-    else:
-        tau = check.number(raw["tau"], "tau")
-        if tau is not None and tau <= 0.0:
-            check.fail("tau", "must be > 0")
-            tau = None
+    k0 = _positive(raw, "K0", check)
+    tau = _positive(raw, "tau", check)
 
     if "path" not in raw:
         check.fail("path", "required")
         path_obj = None
     else:
-        path_obj = _parse_path(raw["path"], check, "path")
+        path_obj = _build(_PATHS, raw["path"], check, "path")
     if path_obj is not None and tau is not None:
         try:
             _require_within("rotation", (0.0, tau), "path domain", path_obj.domain())
@@ -243,17 +242,25 @@ def parse_scenario(text: str) -> ScenarioDocument:
             check.fail("tau", str(exc))
 
     investments = _parse_investments(raw.get("investments", []), check, tau)
-    valuation = _parse_valuation(raw.get("valuation"), check)
-    leverage = _parse_leverage(raw.get("leverage"), check, k0)
+    valuation = _optional(ValuationSpec, raw, "valuation", check)
+    leverage = _optional(LeverageSpec, raw, "leverage", check)
+    if leverage is not None and leverage.equity is not None and k0 is not None:
+        if abs(k0 / leverage.equity - (leverage.leverage + 1.0)) >= LEVERAGE_IDENTITY_TOLERANCE:
+            check.fail(
+                "leverage.equity",
+                f"capital/equity must equal leverage + 1 "
+                f"(K0/equity = {k0 / leverage.equity:g}, "
+                f"leverage + 1 = {leverage.leverage + 1.0:g})",
+            )
     ages = _parse_ages(raw.get("estate"), check, tau)
 
     intervals = raw.get("quadrature_intervals", DEFAULT_INTERVALS)
     if isinstance(intervals, bool) or not isinstance(intervals, int):
         check.fail("quadrature_intervals", "must be an integer")
-        intervals = DEFAULT_INTERVALS
     elif intervals < 2:
         check.fail("quadrature_intervals", "must be >= 2")
-        intervals = DEFAULT_INTERVALS
+    elif intervals > MAX_INTERVALS:
+        check.fail("quadrature_intervals", f"must be <= {MAX_INTERVALS}")
 
     if check.violations:
         raise ScenarioValidationError(check.violations)
@@ -271,81 +278,40 @@ def parse_scenario(text: str) -> ScenarioDocument:
     )
 
 
+def _positive(raw: dict, key: str, check: _Check) -> float | None:
+    """The required top-level number at ``key``, which must be > 0."""
+    if key not in raw:
+        check.fail(key, "required")
+        return None
+    value = check.number(raw[key], key)
+    if value is not None and value <= 0.0:
+        check.fail(key, "must be > 0")
+        return None
+    return value
+
+
+def _optional(cls, raw: dict, key: str, check: _Check):
+    """The optional section at ``key`` built as ``cls``, None if absent."""
+    return None if raw.get(key) is None else _build(cls, raw[key], check, key)
+
+
 def _parse_investments(obj, check: _Check, tau) -> tuple[InvestmentEvent, ...]:
     if not isinstance(obj, list):
         check.fail("investments", "must be a list")
         return ()
     events = []
     for i, entry in enumerate(obj):
-        where = f"investments[{i}]"
-        if not isinstance(entry, dict):
-            check.fail(where, "must be an object")
+        event = _build(InvestmentEvent, entry, check, f"investments[{i}]")
+        if event is None:
             continue
-        check.known_keys(entry, {"time", "amount"}, where)
-        t = check.number(entry.get("time"), f"{where}.time")
-        amount = check.number(entry.get("amount"), f"{where}.amount")
-        if t is None or amount is None:
+        if tau is not None and not 0.0 < event.time < tau:
+            check.fail(f"investments[{i}].time", "must lie strictly inside (0, tau)")
             continue
-        if tau is not None and not 0.0 < t < tau:
-            check.fail(f"{where}.time", "must lie strictly inside (0, tau)")
-            continue
-        events.append(InvestmentEvent(time=t, amount=amount))
+        events.append(event)
     times = [e.time for e in events]
     if any(b <= a for a, b in zip(times, times[1:])):
         check.fail("investments", "event times must be strictly increasing")
     return tuple(events)
-
-
-def _parse_valuation(obj, check: _Check) -> ValuationSpec | None:
-    if obj is None:
-        return None
-    if not isinstance(obj, dict):
-        check.fail("valuation", "must be an object")
-        return None
-    check.known_keys(obj, {"discount_rate", "market_rate", "leverage"}, "valuation")
-    d = check.number(obj.get("discount_rate"), "valuation.discount_rate")
-    u = check.number(obj.get("market_rate", 0.0), "valuation.market_rate")
-    lev = check.number(obj.get("leverage", 0.0), "valuation.leverage")
-    if d is None or u is None or lev is None:
-        return None
-    if d <= 0.0:
-        check.fail("valuation.discount_rate", "must be > 0")
-        return None
-    if lev < -1.0:
-        check.fail("valuation.leverage", "must be >= -1")
-        return None
-    return ValuationSpec(discount_rate=d, market_rate=u, leverage=lev)
-
-
-def _parse_leverage(obj, check: _Check, k0) -> LeverageSpec | None:
-    if obj is None:
-        return None
-    if not isinstance(obj, dict):
-        check.fail("leverage", "must be an object")
-        return None
-    check.known_keys(obj, {"leverage", "market_rate", "equity"}, "leverage")
-    lev = check.number(obj.get("leverage"), "leverage.leverage")
-    u = check.number(obj.get("market_rate", 0.0), "leverage.market_rate")
-    equity = None
-    if "equity" in obj:
-        equity = check.number(obj["equity"], "leverage.equity")
-    if lev is None or u is None:
-        return None
-    if lev < -1.0:
-        check.fail("leverage.leverage", "must be >= -1")
-        return None
-    if equity is not None:
-        if equity <= 0.0:
-            check.fail("leverage.equity", "must be > 0")
-            return None
-        if k0 is not None and abs(k0 / equity - (lev + 1.0)) >= LEVERAGE_IDENTITY_TOLERANCE:
-            check.fail(
-                "leverage.equity",
-                f"capital/equity must equal leverage + 1 "
-                f"(K0/equity = {k0 / equity:g}, leverage + 1 = {lev + 1.0:g})",
-            )
-            return None
-    return LeverageSpec(leverage=lev, market_rate=u, equity=equity)
 
 
 def _parse_ages(obj, check: _Check, tau) -> AgeDensity | None:
@@ -355,54 +321,35 @@ def _parse_ages(obj, check: _Check, tau) -> AgeDensity | None:
         check.fail("estate", "must be an object")
         return None
     check.known_keys(obj, {"ages"}, "estate")
-    ages = obj.get("ages")
-    if not isinstance(ages, dict):
-        check.fail("estate.ages", "must be an object")
-        return None
-    kind = ages.get("kind")
-    if kind == "uniform":
-        check.known_keys(ages, {"kind"}, "estate.ages")
-        return UniformAgeDensity()
-    if kind == "tabulated":
-        check.known_keys(ages, {"kind", "knots"}, "estate.ages")
-        knots = _parse_knots(ages.get("knots"), check, "estate.ages.knots")
-        if knots is None:
-            return None
+    density = _build(_AGES, obj.get("ages"), check, "estate.ages")
+    if density is not None and tau is not None:
         try:
-            density = TabulatedAgeDensity(knots)
-        except ValueError as exc:
+            _require_within("support", density.support(tau), "rotation", (0.0, tau))
+        except DomainError as exc:
             check.fail("estate.ages.knots", str(exc))
             return None
-        if tau is not None:
-            try:
-                _require_within("support", density.support(tau), "rotation", (0.0, tau))
-            except DomainError as exc:
-                check.fail("estate.ages.knots", str(exc))
-                return None
-        return density
-    check.fail("estate.ages.kind", "must be 'uniform' or 'tabulated'")
-    return None
+    return density
 
 
-def _path_to_json(path: ReturnPath) -> dict:
-    if isinstance(path, ConstantPath):
-        return {"kind": "constant", "rate": path.rate}
-    if isinstance(path, SinSquaredPath):
-        return {
-            "kind": "sin_squared",
-            "mean_rate": path.mean_rate,
-            "shape": path.shape,
-            "full_cycle": path.full_cycle,
-        }
-    if isinstance(path, TabulatedPath):
-        return {"kind": "tabulated", "knots": [[t, r] for t, r in path.knots]}
-    if isinstance(path, ReversedPath):
-        return {
-            "kind": "reversed",
-            "inner": _path_to_json(path.inner),
-            "horizon": path.horizon,
-        }
-    raise TypeError(f"cannot serialize path of type {type(path).__name__}")
+def _to_json(obj, kinds=None) -> dict:
+    """Plain-JSON form of one object, written through its dataclass
+    fields: the inverse of :func:`_build`. A field left None is omitted."""
+    out: dict = {}
+    if kinds is not None:
+        kind = next((k for k, cls in kinds.items() if isinstance(obj, cls)), None)
+        if kind is None:
+            raise TypeError(f"cannot serialize object of type {type(obj).__name__}")
+        out["kind"] = kind
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if f.name == "knots":
+            value = [list(pair) for pair in value]
+        elif f.name == "inner":
+            value = _to_json(value, _PATHS)
+        elif value is None:
+            continue
+        out[f.name] = value
+    return out
 
 
 def document_to_json_dict(doc: ScenarioDocument) -> dict:
@@ -411,40 +358,16 @@ def document_to_json_dict(doc: ScenarioDocument) -> dict:
         "schema_version": doc.schema_version,
         "K0": doc.initial_capital,
         "tau": doc.rotation_length,
-        "path": _path_to_json(doc.path),
-        "investments": [
-            {"time": e.time, "amount": e.amount} for e in doc.investments
-        ],
+        "path": _to_json(doc.path, _PATHS),
+        "investments": [_to_json(e) for e in doc.investments],
         "quadrature_intervals": doc.quadrature_intervals,
     }
     if doc.valuation is not None:
-        out["valuation"] = {
-            "discount_rate": doc.valuation.discount_rate,
-            "market_rate": doc.valuation.market_rate,
-            "leverage": doc.valuation.leverage,
-        }
+        out["valuation"] = _to_json(doc.valuation)
     if doc.leverage is not None:
-        lev: dict = {
-            "leverage": doc.leverage.leverage,
-            "market_rate": doc.leverage.market_rate,
-        }
-        if doc.leverage.equity is not None:
-            lev["equity"] = doc.leverage.equity
-        out["leverage"] = lev
+        out["leverage"] = _to_json(doc.leverage)
     if doc.ages is not None:
-        if isinstance(doc.ages, UniformAgeDensity):
-            out["estate"] = {"ages": {"kind": "uniform"}}
-        elif isinstance(doc.ages, TabulatedAgeDensity):
-            out["estate"] = {
-                "ages": {
-                    "kind": "tabulated",
-                    "knots": [[a, w] for a, w in doc.ages.knots],
-                }
-            }
-        else:
-            raise TypeError(
-                f"cannot serialize age density of type {type(doc.ages).__name__}"
-            )
+        out["estate"] = {"ages": _to_json(doc.ages, _AGES)}
     return out
 
 

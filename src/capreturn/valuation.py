@@ -16,10 +16,10 @@ from .errors import (
     CapReturnError,
     IndeterminateRatioError,
     InvalidDiscountError,
-    InvalidLeverageError,
     UnsupportedScheduleError,
 )
 from .growth import GrowthScenario
+from .leverage import _require_leverage
 from .quadrature import DEFAULT_INTERVALS
 
 #: |exp(tau*(avg_rate - d)) - 1| below this is treated as a zero
@@ -32,6 +32,13 @@ def _require_simple(scenario: GrowthScenario) -> None:
         raise UnsupportedScheduleError(
             "present values are defined for investment-free rotations"
         )
+
+
+def _require_discount(discount_rate: float) -> None:
+    """Raise InvalidDiscountError unless the discount rate is strictly
+    positive: the perpetuity factor diverges at zero."""
+    if discount_rate <= 0.0:
+        raise InvalidDiscountError("discount rate must be > 0")
 
 
 def npv(
@@ -52,8 +59,7 @@ def npv(
             (the perpetuity factor diverges at zero).
     """
     _require_simple(scenario)
-    if discount_rate <= 0.0:
-        raise InvalidDiscountError("discount rate must be > 0")
+    _require_discount(discount_rate)
     tau = rotation_length
     avg = scenario.path.time_average_rate(tau, intervals=intervals)
     gain = math.exp(tau * (avg - discount_rate)) - 1.0
@@ -77,10 +83,8 @@ def leveraged_npv(
     capital sits in interest-bearing instruments, which create nothing).
     """
     _require_simple(scenario)
-    if discount_rate <= 0.0:
-        raise InvalidDiscountError("discount rate must be > 0")
-    if leverage < -1.0:
-        raise InvalidLeverageError("leverage ratio cannot be below -1")
+    _require_discount(discount_rate)
+    _require_leverage(leverage)
     tau = rotation_length
     avg = scenario.path.time_average_rate(tau, intervals=intervals)
     terminal = (1.0 + leverage) * math.exp(tau * avg) - leverage * math.exp(
@@ -115,8 +119,7 @@ def leverage_npv_ratio(
             ratio is singular.
     """
     _require_simple(scenario)
-    if discount_rate <= 0.0:
-        raise InvalidDiscountError("discount rate must be > 0")
+    _require_discount(discount_rate)
     tau = rotation_length
     avg = scenario.path.time_average_rate(tau, intervals=intervals)
     if abs(math.exp(tau * (avg - discount_rate)) - 1.0) <= ZERO_NPV_TOLERANCE:

@@ -154,6 +154,20 @@ class TestSweep:
         rc = main(["sweep", "--scenario", "/nonexistent.json"])
         assert rc == 1
 
+    def test_nan_in_scenario_fails(self, tmp_path, capsys):
+        bad = tmp_path / "nan.json"
+        bad.write_text('{"K0": NaN, "tau": 10, "path": {"kind": "constant", "rate": 0.05}}')
+        assert main(["sweep", "--scenario", str(bad), "--metrics", "rroc"]) == 1
+        assert "K0: must be a finite number" in capsys.readouterr().err
+
+    def test_capital_overflow_fails_without_nan_cells(self, tmp_path, capsys):
+        doc = tmp_path / "overflow.json"
+        doc.write_text('{"K0": 1, "tau": 100, "path": {"kind": "constant", "rate": 8.0}}')
+        assert main(["sweep", "--scenario", str(doc), "--metrics", "rroc"]) == 1
+        captured = capsys.readouterr()
+        assert "nan" not in captured.out
+        assert "float range" in captured.err
+
 
 class TestOptimize:
     def test_rroc_peaks_before_the_cycle_end_and_before_irr(self, hump_file, capsys):
@@ -215,10 +229,13 @@ class TestOptimize:
         }
         scenario = tmp_path / "events.json"
         scenario.write_text(json.dumps(doc))
-        assert main(["optimize", "--scenario", str(scenario), "--objective", "rroc"]) == 0
+        argv = ["optimize", "--scenario", str(scenario), "--objective", "rroc"]
+        assert main(argv + ["--d", "0.03", "--u", "0.02"]) == 0
         out = capsys.readouterr().out
         assert "rroc = " in out
+        assert "rroe(L=1, u=0.02)" in out
         assert "irr" not in out
+        assert "npv" not in out
 
 
 class TestIrrCommand:

@@ -7,6 +7,7 @@ import pytest
 
 from capreturn import (
     ConstantPath,
+    DegenerateCapitalError,
     EstateSpec,
     GrowthScenario,
     InvestmentEvent,
@@ -180,3 +181,11 @@ class TestTabulatedAges:
         too_wide = TabulatedAgeDensity(((0.0, 1.0), (20.0, 1.0)))
         with pytest.raises(ValueError):
             EstateSpec(scenario, too_wide)
+
+
+@pytest.mark.parametrize("tau", [88.6, 100.0])
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+def test_capital_beyond_float_range_is_degenerate(tau):
+    estate = EstateSpec(GrowthScenario(1.0, tau, ConstantPath(8.0)), UniformAgeDensity())
+    with pytest.raises(DegenerateCapitalError, match="float range"):
+        estate_rroc(estate)

@@ -1,15 +1,22 @@
 """Scenario document parsing, serialization, and CSV output."""
 
 import json
+import math
+from dataclasses import dataclass
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from capreturn import (
     ConstantPath,
     GrowthScenario,
+    InvalidDiscountError,
+    InvalidLeverageError,
     InvestmentEvent,
     LeverageSpec,
     NoRootError,
+    ReturnPath,
     ReversedPath,
     ScenarioDocument,
     ScenarioParseError,
@@ -24,6 +31,7 @@ from capreturn import (
     serialize_scenario,
     write_table,
 )
+from capreturn.scenario_io import MAX_INTERVALS
 
 MINIMAL = '{"K0": 1.0, "tau": 10.0, "path": {"kind": "constant", "rate": 0.05}}'
 
@@ -172,6 +180,80 @@ class TestParse:
         assert "line 1" in str(err.value)
         assert "column" in str(err.value)
 
+    @pytest.mark.parametrize("value", ["NaN", "-Infinity", "1" + "0" * 400])
+    def test_non_finite_number_rejected(self, value):
+        with pytest.raises(ScenarioValidationError) as err:
+            parse_scenario(MINIMAL.replace("1.0", value))
+        assert err.value.violations == [("K0", "must be a finite number")]
+
+    def test_infinite_knot_names_its_index(self):
+        text = MINIMAL.replace(
+            '"kind": "constant", "rate": 0.05',
+            '"kind": "tabulated", "knots": [[0, 0.01], [10, Infinity]]',
+        )
+        with pytest.raises(ScenarioValidationError) as err:
+            parse_scenario(text)
+        assert err.value.violations == [("path.knots[1][1]", "must be a finite number")]
+
+    def test_quadrature_intervals_capped(self):
+        def with_intervals(n):
+            return MINIMAL[:-1] + f', "quadrature_intervals": {n}}}'
+
+        assert parse_scenario(with_intervals(MAX_INTERVALS)).quadrature_intervals == 2**20
+        with pytest.raises(ScenarioValidationError) as err:
+            parse_scenario(with_intervals(MAX_INTERVALS + 1))
+        assert err.value.violations == [("quadrature_intervals", "must be <= 1048576")]
+
+    @pytest.mark.parametrize(
+        "section, message",
+        [
+            ({"path": {"kind": "sin_squared", "mean_rate": 0.05, "shape": 0.5,
+                       "full_cycle": 0}}, ("path", "full_cycle must be > 0")),
+            ({"path": {"kind": "tabulated", "knots": [[0, 0.01], [0, 0.02]]}},
+             ("path", "knot times must be strictly increasing")),
+            ({"valuation": {"discount_rate": 0}}, ("valuation", "discount rate must be > 0")),
+            ({"valuation": {"discount_rate": 0.03, "leverage": -2}},
+             ("valuation", "leverage ratio cannot be below -1")),
+            ({"leverage": {"leverage": -2}}, ("leverage", "leverage ratio cannot be below -1")),
+            ({"leverage": {"leverage": 1, "equity": 0}}, ("leverage", "equity must be > 0")),
+            ({"estate": {"ages": {"kind": "tabulated", "knots": [[0, 1], [5, -1]]}}},
+             ("estate.ages", "density weights must be nonnegative")),
+        ],
+    )
+    def test_constructor_violation_reported_at_the_object(self, section, message):
+        doc = {"K0": 1.0, "tau": 10.0, "path": {"kind": "constant", "rate": 0.05}}
+        with pytest.raises(ScenarioValidationError) as err:
+            parse_scenario(json.dumps({**doc, **section}))
+        assert err.value.violations == [message]
+
+    @pytest.mark.parametrize("kind", [["constant"], {"constant": 1}, None, 3])
+    def test_unhashable_or_missing_kind_rejected(self, kind):
+        bad = json.loads(MINIMAL)
+        bad["path"]["kind"] = kind
+        bad["estate"] = {"ages": {"kind": kind}}
+        with pytest.raises(ScenarioValidationError) as err:
+            parse_scenario(json.dumps(bad))
+        assert err.value.violations == [
+            ("path.kind", "must be one of 'constant', 'sin_squared', 'tabulated', 'reversed'"),
+            ("estate.ages.kind", "must be one of 'uniform', 'tabulated'"),
+        ]
+
+    def test_market_rate_defaults_to_zero(self):
+        sections = ', "leverage": {"leverage": 0.5}, "valuation": {"discount_rate": 0.03}}'
+        doc = parse_scenario(MINIMAL[:-1] + sections)
+        assert doc.leverage == LeverageSpec(0.5, 0.0)
+        assert doc.valuation == ValuationSpec(0.03, 0.0, 0.0)
+
+
+class TestValuationSpec:
+    def test_discount_rate_must_be_positive(self):
+        with pytest.raises(InvalidDiscountError):
+            ValuationSpec(0.0)
+
+    def test_leverage_cannot_be_below_minus_one(self):
+        with pytest.raises(InvalidLeverageError):
+            ValuationSpec(0.03, leverage=-2)
+
 
 def sample_documents():
     hump = SinSquaredPath(0.05, 0.5, 100.0)
@@ -204,7 +286,19 @@ def sample_documents():
             hump,
             ages=TabulatedAgeDensity(((20.0, 0.0), (50.0, 1.0), (80.0, 0.0))),
         ),
+        ScenarioDocument(
+            1.0,
+            10.0,
+            ReversedPath(TabulatedPath(((0.0, 0.02), (5.0, 0.06), (10.0, 0.01))), 10.0),
+        ),
+        ScenarioDocument(1.0, 10.0, ConstantPath(0.05), leverage=LeverageSpec(0.5)),
+        ScenarioDocument(1.0, 10.0, ConstantPath(0.05), valuation=ValuationSpec(0.03)),
     ]
+
+
+@dataclass(frozen=True)
+class UnregisteredPath(ReturnPath):
+    """A path kind the schema does not know."""
 
 
 class TestRoundTrip:
@@ -215,6 +309,98 @@ class TestRoundTrip:
     def test_serialization_is_deterministic(self):
         doc = sample_documents()[1]
         assert serialize_scenario(doc) == serialize_scenario(doc)
+
+    def test_unregistered_kind_is_not_serialized(self):
+        doc = ScenarioDocument(1.0, 10.0, UnregisteredPath())
+        with pytest.raises(TypeError, match="cannot serialize"):
+            serialize_scenario(doc)
+
+
+# JSON shaped like scenario documents: objects of every kind and section
+# of the schema, whose values are usually of the right type, and otherwise
+# nested lists and objects, booleans, null, strings, non-finite floats or
+# integers beyond float range.
+PATH_KINDS = {
+    "constant": ("rate",),
+    "sin_squared": ("mean_rate", "shape", "full_cycle"),
+    "tabulated": ("knots",),
+    "reversed": ("inner", "horizon"),
+}
+KEYS = sorted({"kind", "ages", "time", "amount", "discount_rate", "market_rate",
+               "leverage", "equity", *(k for keys in PATH_KINDS.values() for k in keys)})
+
+
+def _usually(good, other):
+    """``good`` nine times in ten, ``other`` otherwise."""
+    return st.sampled_from([good] * 9 + [other]).flatmap(lambda chosen: chosen)
+
+
+NUMBERS = _usually(
+    st.one_of(st.integers(-1, 30), st.floats(-1.0, 30.0)),
+    st.sampled_from([2**20, 2**20 + 1, 10**400, math.nan, math.inf, -math.inf]),
+)
+JUNK = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.text(max_size=2),
+              st.sampled_from([*PATH_KINDS, "uniform"])),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=2), st.dictionaries(st.sampled_from(KEYS), inner, max_size=2)
+    ),
+    max_leaves=4,
+)
+KNOTS = st.lists(
+    st.tuples(st.floats(0.0, 30.0), NUMBERS).map(list),
+    min_size=1, max_size=4, unique_by=lambda pair: pair[0],
+).map(sorted)
+
+
+def _mostly(good):
+    """``good`` nine times in ten, JSON of any other shape otherwise."""
+    return _usually(good, JUNK)
+
+
+def _object(keys, kind=None):
+    """An object with ``keys`` (and ``kind``), each value mostly of the
+    right type; one in ten has only some keys and maybe a stray one."""
+    good = {"knots": KNOTS, "inner": st.deferred(lambda: PATHS), "ages": st.deferred(lambda: AGES)}
+    fields = {k: _mostly(good.get(k, NUMBERS)) for k in keys}
+    head = {} if kind is None else {"kind": kind}
+    whole = st.fixed_dictionaries({**head, **fields})
+    partial = st.fixed_dictionaries(head, optional={**fields, "bogus": JUNK})
+    return _usually(whole, partial)
+
+
+AGES = _mostly(
+    st.one_of(_object((), st.just("uniform")), _object(("knots",), st.just("tabulated")))
+)
+PATHS = _mostly(
+    st.one_of(
+        *(_object(keys, st.just(kind)) for kind, keys in PATH_KINDS.items()),
+        _object(("rate",), JUNK),
+    )
+)
+DOCUMENTS = st.fixed_dictionaries(
+    {"K0": _mostly(NUMBERS), "tau": _mostly(NUMBERS), "path": PATHS},
+    optional={
+        "investments": _mostly(st.lists(_mostly(_object(("time", "amount"))), max_size=3)),
+        "valuation": _mostly(_object(("discount_rate", "market_rate", "leverage"))),
+        "leverage": _mostly(_object(("leverage", "market_rate", "equity"))),
+        "estate": _mostly(_object(("ages",))),
+        "quadrature_intervals": _mostly(st.integers(0, 2**20 + 1)),
+        "schema_version": _mostly(st.just(1)),
+    },
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(DOCUMENTS)
+def test_any_document_is_built_or_rejected_by_key(raw):
+    try:
+        doc = parse_scenario(json.dumps(raw))
+    except ScenarioValidationError as exc:
+        assert exc.violations and all(isinstance(key, str) for key, _ in exc.violations)
+        return
+    assert isinstance(doc, ScenarioDocument)
+    assert parse_scenario(serialize_scenario(doc)) == doc
 
 
 class TestWriteTable:
