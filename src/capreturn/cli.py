@@ -27,7 +27,7 @@ import numpy as np
 from .errors import CapReturnError
 from .growth import rroc, with_rotation
 from .irr import general_irr, growth_cycle_irr
-from .leverage import leveraged_discount_rate, rroe
+from .leverage import leveraged_discount_rate, rroe, rroe_argmax
 from .optimize import refine_argmax
 from .scenario_io import (
     ScenarioDocument,
@@ -218,28 +218,30 @@ def _cmd_optimize(args) -> int:
     grid = _tau_grid(args, doc)
     base = doc.scenario()
 
-    def objective_family():
+    def optima():
+        """(label, (tau*, value)) per objective, each found as it is needed."""
         if args.objective == "rroc":
-            yield "objective rroc", lambda tau: rroc(
-                with_rotation(base, tau), intervals=intervals
+            yield "objective rroc", refine_argmax(
+                lambda tau: rroc(with_rotation(base, tau), intervals=intervals), grid
             )
         elif args.objective == "irr":
-            yield "objective irr", lambda tau: growth_cycle_irr(
-                with_rotation(base, tau), tau, intervals=intervals
+            yield "objective irr", refine_argmax(
+                lambda tau: growth_cycle_irr(with_rotation(base, tau), tau, intervals=intervals),
+                grid,
             )
         elif args.objective == "npv":
             for d in _rates(args.d, "--d", "objective npv"):
-                yield f"objective npv, d={d:g}", lambda tau, d=d: npv(
-                    with_rotation(base, tau), tau, d, intervals=intervals
+                yield f"objective npv, d={d:g}", refine_argmax(
+                    lambda tau: npv(with_rotation(base, tau), tau, d, intervals=intervals), grid
                 )
         elif args.objective == "rroe":
+            # One capital-return search serves every market rate.
             for u in _rates(args.u, "--u", "objective rroe"):
-                yield f"objective rroe, L={args.L:g}, u={u:g}", lambda tau, u=u: rroe(
-                    rroc(with_rotation(base, tau), intervals=intervals), args.L, u
-                )
+                tau = rroe_argmax(base, args.L, u, grid, intervals=intervals)
+                s = rroc(with_rotation(base, tau), intervals=intervals)
+                yield f"objective rroe, L={args.L:g}, u={u:g}", (tau, rroe(s, args.L, u))
 
-    for label, fn in objective_family():
-        tau_star, value = refine_argmax(fn, grid)
+    for label, (tau_star, value) in optima():
         print(f"{label}: tau* = {tau_star:.9g}, value = {value:.9g}")
         print("competing criteria at tau*:")
         for line in _competing_report(doc, tau_star, args):

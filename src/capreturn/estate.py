@@ -70,13 +70,17 @@ class TabulatedAgeDensity(AgeDensity):
             raise ValueError("knot ages must be strictly increasing")
         if any(w < 0.0 for _, w in self.knots):
             raise ValueError("density weights must be nonnegative")
-        if self._raw_mass() <= 0.0:
+        mass = self._raw_mass()
+        if not math.isfinite(mass):
+            raise ValueError("density total mass must be finite")
+        if mass <= 0.0:
             raise ValueError("density must have positive total mass")
 
     def _raw_mass(self) -> float:
         ages = np.array([a for a, _ in self.knots])
         weights = np.array([w for _, w in self.knots])
-        return float(np.trapezoid(weights, ages))
+        with np.errstate(over="ignore"):  # an overflowing mass is rejected as such
+            return float(np.trapezoid(weights, ages))
 
     @cached_property
     def renormalization_factor(self) -> float:

@@ -51,6 +51,8 @@ class GrowthScenario:
     investments: tuple[InvestmentEvent, ...] = ()
 
     def __post_init__(self):
+        if not (math.isfinite(self.initial_capital) and math.isfinite(self.rotation_length)):
+            raise ValueError("initial_capital and rotation_length must be finite")
         if self.initial_capital <= 0.0:
             raise ValueError("initial_capital must be > 0")
         if self.rotation_length <= 0.0:
@@ -74,6 +76,15 @@ class ExpectedValues:
     profit_rate: float
     capitalization: float
     rroc: float
+
+
+def _exp(x: float) -> float:
+    """``math.exp(x)``, with overflow raised as DegenerateCapitalError: the
+    closed forms' growth factors must stay within float range."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        raise DegenerateCapitalError(f"growth factor exp({x:.6g}) is beyond float range") from None
 
 
 def with_rotation(scenario: GrowthScenario, rotation_length: float) -> GrowthScenario:
@@ -125,7 +136,7 @@ def _segments(
         if np.any(bases[1:] <= 0.0):
             bad = event_times[np.argmax(bases[1:] <= 0.0)]
             raise DegenerateCapitalError(f"capital nonpositive just after event at t={bad:g}")
-        capital = bases[np.searchsorted(after, np.arange(times.size), "right")] * np.exp(returns)
+        capital = np.repeat(bases, np.diff(after, prepend=0, append=times.size)) * np.exp(returns)
     if not math.isfinite(capital.max()):  # NaN propagates through max
         bad = times[np.argmin(np.isfinite(capital))]
         raise DegenerateCapitalError(f"capital beyond float range at t={bad:g}")

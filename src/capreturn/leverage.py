@@ -9,6 +9,7 @@ in interest-bearing instruments.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from collections.abc import Sequence
@@ -19,15 +20,15 @@ from .errors import (
     UnsupportedScheduleError,
     WipedOutEquityError,
 )
-from .growth import GrowthScenario, rroc, with_rotation
+from .growth import GrowthScenario, _exp, rroc, with_rotation
 from .optimize import refine_argmax
 from .quadrature import DEFAULT_INTERVALS
 
 
 def _require_leverage(leverage: float) -> None:
-    """Raise InvalidLeverageError for a leverage ratio below -1: no more
-    than all of the equity can be lent out."""
-    if leverage < -1.0:
+    """Raise InvalidLeverageError for a leverage ratio below -1 (no more
+    than all of the equity can be lent out) or NaN."""
+    if not leverage >= -1.0:
         raise InvalidLeverageError("leverage ratio cannot be below -1")
 
 
@@ -41,7 +42,7 @@ class LeverageSpec:
 
     def __post_init__(self):
         _require_leverage(self.leverage)
-        if self.equity is not None and self.equity <= 0.0:
+        if self.equity is not None and not self.equity > 0.0:
             raise ValueError("equity must be > 0")
 
 
@@ -77,6 +78,7 @@ def leveraged_discount_rate(
         WipedOutEquityError: the terminal equity payoff is nonpositive
             (loan interest exceeds what the rotation produced), so no
             break-even rate exists.
+        DegenerateCapitalError: a growth factor is beyond float range.
     """
     if scenario.investments:
         raise UnsupportedScheduleError(
@@ -85,21 +87,39 @@ def leveraged_discount_rate(
     _require_leverage(leverage)
     tau = rotation_length
     avg = scenario.path.time_average_rate(tau, intervals=intervals)
-    inner = 1.0 + leverage * (1.0 - math.exp(-tau * (avg - market_rate)))
+    inner = 1.0 + leverage * (1.0 - _exp(-tau * (avg - market_rate)))
     if inner <= 0.0:
         raise WipedOutEquityError(
             "leveraged terminal value is nonpositive; equity is wiped out"
         )
     rate = avg + math.log(inner) / tau
     check = (
-        (1.0 + leverage) * math.exp(avg * tau)
-        - leverage * math.exp(market_rate * tau)
-    ) * math.exp(-rate * tau) - 1.0
+        (1.0 + leverage) * _exp(avg * tau)
+        - leverage * _exp(market_rate * tau)
+    ) * _exp(-rate * tau) - 1.0
     if abs(check) > 1e-9:
         raise CapReturnError(
             f"break-even rate failed its zero-value check (residual {check:.3e})"
         )
     return rate
+
+
+@functools.lru_cache(maxsize=1)
+def _rroc_argmax(
+    scenario: GrowthScenario, rotation_grid: tuple[float, ...], intervals: int
+) -> float:
+    """Rotation length maximizing the capital return over the grid,
+    refined by golden section.
+
+    The one entry remembers the latest search, so the equity-return
+    maximizers of one scenario at several market rates or leverages
+    share it. Arguments must be hashable; they compare by value.
+    """
+    best_tau, _ = refine_argmax(
+        lambda tau: rroc(with_rotation(scenario, tau), intervals=intervals),
+        rotation_grid,
+    )
+    return best_tau
 
 
 def rroe_argmax(
@@ -112,10 +132,14 @@ def rroe_argmax(
 ) -> float:
     """Rotation length maximizing the return rate on equity.
 
-    Scans the grid and refines by golden section. Since the equity
-    return is a positive affine transform of the capital return whenever
-    leverage exceeds -1, the maximizer coincides with the capital
-    return's own maximizer for every market rate.
+    The equity return ``(1 + L) * rroc - L * u`` is a positive affine
+    transform of the capital return whenever leverage exceeds -1, so its
+    maximizer is the capital return's own. This returns the result of
+    one capital-return search (grid scan, then golden section) per
+    scenario, grid and interval count, which the latest call shares with
+    the next: the result is exactly the same for every market rate and
+    every leverage above -1. A scenario that cannot be hashed (a path of
+    a non-frozen dataclass, say) is searched afresh on every call.
 
     Raises:
         InvalidLeverageError: leverage <= -1 (at exactly -1 the equity
@@ -123,14 +147,13 @@ def rroe_argmax(
             maximizer is undefined).
         ValueError: empty grid.
     """
-    if leverage <= -1.0:
+    if not leverage > -1.0:
         raise InvalidLeverageError(
             "equity-return maximizer needs leverage strictly above -1"
         )
-
-    def objective(tau: float) -> float:
-        value = rroc(with_rotation(scenario, tau), intervals=intervals)
-        return rroe(value, leverage, market_rate)
-
-    best_tau, _ = refine_argmax(objective, rotation_grid)
-    return best_tau
+    grid = tuple(map(float, rotation_grid))
+    try:
+        hash(scenario)
+    except TypeError:
+        return _rroc_argmax.__wrapped__(scenario, grid, intervals)
+    return _rroc_argmax(scenario, grid, intervals)

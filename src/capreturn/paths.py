@@ -114,6 +114,10 @@ class ConstantPath(ReturnPath):
 
     rate: float
 
+    def __post_init__(self):
+        if not math.isfinite(self.rate):
+            raise ValueError("rate must be finite")
+
     def domain(self) -> tuple[float, float]:
         return (-math.inf, math.inf)
 
@@ -139,6 +143,8 @@ class SinSquaredPath(ReturnPath):
     full_cycle: float
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.mean_rate, self.shape, self.full_cycle))):
+            raise ValueError("mean_rate, shape and full_cycle must be finite")
         if self.full_cycle <= 0.0:
             raise ValueError("full_cycle must be > 0")
 

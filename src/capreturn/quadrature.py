@@ -44,8 +44,9 @@ def _grid(start: float, end: float, cuts, intervals: int):
         return np.linspace(start, end, n + 1), (end - start) / n
     edges = np.sort(np.concatenate(([start, end], inner)))
     widths = np.diff(edges)
-    counts = np.ceil(intervals * (widths / (end - start)))
-    counts = np.maximum(2, counts + counts % 2).astype(np.int64)
+    counts = np.ceil(intervals * (widths / (end - start))).astype(np.int64)
+    counts += counts & 1
+    counts = np.maximum(2, counts)
     steps = widths / counts
     # Node j of a piece sits at a + j*h, as in linspace, so each cut is a node.
     nodes = np.arange(np.sum(counts) + 1, dtype=float)

@@ -224,7 +224,7 @@ def parse_scenario(text: str) -> ScenarioDocument:
     check.known_keys(raw, top_level, "")
 
     version = raw.get("schema_version", SCHEMA_VERSION)
-    if version != SCHEMA_VERSION:
+    if isinstance(version, bool) or version != SCHEMA_VERSION:
         check.fail("schema_version", f"unsupported version (expected {SCHEMA_VERSION})")
 
     k0 = _positive(raw, "K0", check)

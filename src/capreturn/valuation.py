@@ -14,11 +14,12 @@ import math
 
 from .errors import (
     CapReturnError,
+    DegenerateCapitalError,
     IndeterminateRatioError,
     InvalidDiscountError,
     UnsupportedScheduleError,
 )
-from .growth import GrowthScenario
+from .growth import GrowthScenario, _exp
 from .leverage import _require_leverage
 from .quadrature import DEFAULT_INTERVALS
 
@@ -36,9 +37,20 @@ def _require_simple(scenario: GrowthScenario) -> None:
 
 def _require_discount(discount_rate: float) -> None:
     """Raise InvalidDiscountError unless the discount rate is strictly
-    positive: the perpetuity factor diverges at zero."""
-    if discount_rate <= 0.0:
+    positive (the perpetuity factor diverges at zero) and not NaN."""
+    if not discount_rate > 0.0:
         raise InvalidDiscountError("discount rate must be > 0")
+
+
+def _perpetuity(
+    scenario: GrowthScenario, net_gain: float, discount_rate: float, tau: float
+) -> float:
+    """Initial capital times the net gain of one rotation, earned every
+    ``tau`` years forever and discounted at ``discount_rate``."""
+    value = scenario.initial_capital * net_gain / (1.0 - _exp(-discount_rate * tau))
+    if not math.isfinite(value):
+        raise DegenerateCapitalError("present value is beyond float range")
+    return value
 
 
 def npv(
@@ -57,13 +69,14 @@ def npv(
     Raises:
         InvalidDiscountError: discount rate is not strictly positive
             (the perpetuity factor diverges at zero).
+        DegenerateCapitalError: a growth factor or the value is beyond
+            float range.
     """
     _require_simple(scenario)
     _require_discount(discount_rate)
     tau = rotation_length
     avg = scenario.path.time_average_rate(tau, intervals=intervals)
-    gain = math.exp(tau * (avg - discount_rate)) - 1.0
-    return scenario.initial_capital * gain / (1.0 - math.exp(-discount_rate * tau))
+    return _perpetuity(scenario, _exp(tau * (avg - discount_rate)) - 1.0, discount_rate, tau)
 
 
 def leveraged_npv(
@@ -81,19 +94,20 @@ def leveraged_npv(
     Collapses to :func:`npv` at zero leverage; at leverage -1 with the
     market rate equal to the discount rate the value is zero (all
     capital sits in interest-bearing instruments, which create nothing).
+
+    Raises:
+        DegenerateCapitalError: a growth factor or the value is beyond
+            float range.
     """
     _require_simple(scenario)
     _require_discount(discount_rate)
     _require_leverage(leverage)
     tau = rotation_length
     avg = scenario.path.time_average_rate(tau, intervals=intervals)
-    terminal = (1.0 + leverage) * math.exp(tau * avg) - leverage * math.exp(
+    terminal = (1.0 + leverage) * _exp(tau * avg) - leverage * _exp(
         tau * market_rate
     )
-    numerator = terminal * math.exp(-tau * discount_rate) - 1.0
-    return scenario.initial_capital * numerator / (
-        1.0 - math.exp(-discount_rate * tau)
-    )
+    return _perpetuity(scenario, terminal * _exp(-tau * discount_rate) - 1.0, discount_rate, tau)
 
 
 def leverage_npv_ratio(
@@ -117,12 +131,13 @@ def leverage_npv_ratio(
         IndeterminateRatioError: the unleveraged value is zero within
             tolerance (average rate equals the discount rate), where the
             ratio is singular.
+        DegenerateCapitalError: a growth factor is beyond float range.
     """
     _require_simple(scenario)
     _require_discount(discount_rate)
     tau = rotation_length
     avg = scenario.path.time_average_rate(tau, intervals=intervals)
-    if abs(math.exp(tau * (avg - discount_rate)) - 1.0) <= ZERO_NPV_TOLERANCE:
+    if abs(_exp(tau * (avg - discount_rate)) - 1.0) <= ZERO_NPV_TOLERANCE:
         raise IndeterminateRatioError(
             "unleveraged present value is zero within tolerance; "
             "the leverage ratio diverges when the average rate equals "
@@ -135,9 +150,9 @@ def leverage_npv_ratio(
         )
         / base
     )
-    growth_term = math.exp(tau * avg)
-    closed_form = 1.0 + leverage * (growth_term - math.exp(tau * market_rate)) / (
-        growth_term - math.exp(tau * discount_rate)
+    growth_term = _exp(tau * avg)
+    closed_form = 1.0 + leverage * (growth_term - _exp(tau * market_rate)) / (
+        growth_term - _exp(tau * discount_rate)
     )
     if abs(ratio - closed_form) > 1e-9 * max(1.0, abs(closed_form)):
         raise CapReturnError(

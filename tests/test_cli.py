@@ -168,6 +168,16 @@ class TestSweep:
         assert "nan" not in captured.out
         assert "float range" in captured.err
 
+    def test_present_value_overflow_is_one_error_line(self, tmp_path, capsys):
+        doc = tmp_path / "overflow.json"
+        doc.write_text('{"K0": 1, "tau": 100, "path": {"kind": "constant", "rate": 8.0}}')
+        argv = ["sweep", "--scenario", str(doc), "--metrics", "npv,omega",
+                "--d", "0.05", "--u", "0.02"]
+        assert main(argv) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert "error: " in err[0] and "float range" in err[0]
+
 
 class TestOptimize:
     def test_rroc_peaks_before_the_cycle_end_and_before_irr(self, hump_file, capsys):

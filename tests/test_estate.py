@@ -162,6 +162,12 @@ class TestTabulatedAges:
         with pytest.raises(ValueError):
             TabulatedAgeDensity(((0.0, 0.0), (1.0, 0.0)))
 
+    def test_overflowing_mass_rejected(self):
+        # Finite weights whose trapezoid mass overflows would renormalize
+        # the density to zero everywhere.
+        with pytest.raises(ValueError, match="finite"):
+            TabulatedAgeDensity(((0.0, 1e308), (10.0, 1e308)))
+
     @pytest.mark.parametrize(
         "build",
         [

@@ -120,6 +120,12 @@ class TestScenarioValidation:
         with pytest.raises(ValueError):
             GrowthScenario(1.0, 0.0, ConstantPath(0.05))
 
+    @pytest.mark.parametrize("k0, tau", [(math.nan, 10.0), (math.inf, 10.0), (1.0, math.nan),
+                                         (1.0, math.inf)])
+    def test_non_finite_capital_or_rotation_rejected(self, k0, tau):
+        with pytest.raises(ValueError, match="finite"):
+            GrowthScenario(k0, tau, ConstantPath(0.05))
+
     def test_rotation_beyond_path_domain_rejected(self):
         with pytest.raises(DomainError):
             GrowthScenario(1.0, CYCLE + 1.0, SinSquaredPath(MEAN, SHAPE, CYCLE))

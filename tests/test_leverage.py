@@ -1,6 +1,7 @@
 """Equity returns under leverage and the break-even discount rate."""
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from capreturn import (
     InvalidLeverageError,
     InvestmentEvent,
     LeverageSpec,
+    ReturnPath,
     SinSquaredPath,
     UnsupportedScheduleError,
     WipedOutEquityError,
@@ -23,6 +25,7 @@ from capreturn import (
     rroe_argmax,
     with_rotation,
 )
+from capreturn import leverage as leverage_module
 from oracles import bisect_root
 
 MEAN, SHAPE, CYCLE = 0.05, 0.5, 100.0
@@ -64,6 +67,10 @@ class TestLeverageSpec:
     def test_invalid_leverage(self):
         with pytest.raises(InvalidLeverageError):
             LeverageSpec(leverage=-2.0, market_rate=0.03)
+
+    def test_nan_leverage_rejected(self):
+        with pytest.raises(InvalidLeverageError):
+            LeverageSpec(leverage=math.nan, market_rate=0.03)
 
     def test_invalid_equity(self):
         with pytest.raises(ValueError):
@@ -158,6 +165,91 @@ class TestRroeArgmax:
     def test_full_lending_has_no_optimum(self):
         with pytest.raises(InvalidLeverageError):
             rroe_argmax(hump_scenario(), -1.0, 0.03, [10.0, 20.0])
+
+    @pytest.mark.parametrize("leverage", [-0.5, 0.0, 1.0, 5.0])
+    def test_matches_a_search_over_the_equity_return(self, leverage):
+        s = hump_scenario()
+        grid = np.linspace(CYCLE / 50, CYCLE, 50)
+        u = 0.03
+        tau_rroe, _ = refine_argmax(
+            lambda tau: rroe(rroc(with_rotation(s, tau)), leverage, u), grid
+        )
+        assert rroe_argmax(s, leverage, u, grid) == pytest.approx(
+            tau_rroe, abs=grid[1] - grid[0]
+        )
+
+
+@pytest.fixture
+def rroc_calls(monkeypatch):
+    """Counts the capital-return evaluations made by rroe_argmax, with the
+    remembered search forgotten first."""
+    calls = []
+
+    def counted(scenario, **kwargs):
+        calls.append(scenario.rotation_length)
+        return rroc(scenario, **kwargs)
+
+    leverage_module._rroc_argmax.cache_clear()
+    monkeypatch.setattr(leverage_module, "rroc", counted)
+    return calls
+
+
+@dataclass
+class MutablePath(ReturnPath):
+    """A path of a non-frozen dataclass, which cannot be hashed."""
+
+    rate: float
+
+    def domain(self):
+        return (-math.inf, math.inf)
+
+    def _rates(self, ts):
+        return np.full_like(ts, self.rate, dtype=float)
+
+
+class TestSharedSearch:
+    GRID = (10.0, 30.0, 50.0, 70.0, 90.0)
+
+    def test_other_market_rates_and_leverages_reuse_the_search(self, rroc_calls):
+        s = hump_scenario()
+        first = rroe_argmax(s, 1.0, 0.01, self.GRID, intervals=256)
+        assert rroc_calls
+        rroc_calls.clear()
+        # An equal scenario and grid, built afresh, hit the same search.
+        again = [
+            rroe_argmax(hump_scenario(), leverage, u, list(self.GRID), intervals=256)
+            for leverage, u in ((1.0, 0.05), (-0.5, 0.0), (5.0, 0.2))
+        ]
+        assert rroc_calls == []
+        assert again == [first] * 3
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            lambda s, grid, n: (s, grid[:-1], n),
+            lambda s, grid, n: (s, grid, 512),
+            lambda s, grid, n: (GrowthScenario(2.0, CYCLE, s.path), grid, n),
+        ],
+        ids=["grid", "intervals", "scenario"],
+    )
+    def test_changed_inputs_search_afresh(self, rroc_calls, change):
+        s = hump_scenario()
+        rroe_argmax(s, 1.0, 0.01, self.GRID, intervals=256)
+        rroc_calls.clear()
+        s2, grid, n = change(s, self.GRID, 256)
+        rroe_argmax(s2, 1.0, 0.01, grid, intervals=n)
+        assert rroc_calls
+
+    def test_unhashable_path_is_searched_uncached(self, rroc_calls):
+        s = GrowthScenario(1.0, 10.0, MutablePath(0.05))
+        with pytest.raises(TypeError):
+            hash(s)
+        results = []
+        for u in (0.01, 0.02):
+            rroc_calls.clear()
+            results.append(rroe_argmax(s, 1.0, u, (2.0, 4.0, 6.0), intervals=64))
+            assert rroc_calls
+        assert results[0] == results[1]
 
 
 class TestBreakEvenConflictsWithEquityReturn:

@@ -1,5 +1,7 @@
 """Spot-rate path evaluation, integration, and averaging."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -79,6 +81,20 @@ class TestConstruction:
     def test_single_knot_rejected(self):
         with pytest.raises(ValueError):
             TabulatedPath(((0.0, 0.02),))
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: ConstantPath(math.nan),
+            lambda: ConstantPath(math.inf),
+            lambda: SinSquaredPath(math.nan, 0.5, 100.0),
+            lambda: SinSquaredPath(0.05, math.inf, 100.0),
+            lambda: SinSquaredPath(0.05, 0.5, math.nan),
+        ],
+    )
+    def test_non_finite_parameters_rejected(self, build):
+        with pytest.raises(ValueError, match="finite"):
+            build()
 
 
 class TestCumulativeReturn:

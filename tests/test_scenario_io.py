@@ -174,6 +174,12 @@ class TestParse:
         with pytest.raises(ScenarioValidationError):
             parse_scenario(bad)
 
+    def test_boolean_schema_version_rejected(self):
+        bad = {**json.loads(MINIMAL), "schema_version": True}
+        with pytest.raises(ScenarioValidationError) as err:
+            parse_scenario(json.dumps(bad))
+        assert err.value.violations == [("schema_version", "unsupported version (expected 1)")]
+
     def test_syntax_error_reports_position(self):
         with pytest.raises(ScenarioParseError) as err:
             parse_scenario('{"K0": 1.0,,}')
@@ -218,6 +224,8 @@ class TestParse:
             ({"leverage": {"leverage": 1, "equity": 0}}, ("leverage", "equity must be > 0")),
             ({"estate": {"ages": {"kind": "tabulated", "knots": [[0, 1], [5, -1]]}}},
              ("estate.ages", "density weights must be nonnegative")),
+            ({"estate": {"ages": {"kind": "tabulated", "knots": [[0, 1e308], [10, 1e308]]}}},
+             ("estate.ages", "density total mass must be finite")),
         ],
     )
     def test_constructor_violation_reported_at_the_object(self, section, message):

@@ -1,10 +1,13 @@
 """Perpetual-rotation present values and the leverage ratio identities."""
 
+import math
+
 import numpy as np
 import pytest
 
 from capreturn import (
     ConstantPath,
+    DegenerateCapitalError,
     GrowthScenario,
     IndeterminateRatioError,
     InvalidDiscountError,
@@ -13,6 +16,7 @@ from capreturn import (
     UnsupportedScheduleError,
     InvestmentEvent,
     leverage_npv_ratio,
+    leveraged_discount_rate,
     leveraged_npv,
     npv,
     refine_argmax,
@@ -51,6 +55,10 @@ class TestNpv:
     def test_nonpositive_discount_rejected(self):
         with pytest.raises(InvalidDiscountError):
             npv(constant_scenario(), 10.0, 0.0)
+
+    def test_nan_discount_rejected(self):
+        with pytest.raises(InvalidDiscountError):
+            npv(constant_scenario(), 10.0, math.nan)
 
     def test_investments_unsupported(self):
         s = GrowthScenario(
@@ -143,3 +151,25 @@ class TestNpvArgmaxDrift:
             )
             argmaxes.append(tau_star)
         assert argmaxes[0] > argmaxes[1] > argmaxes[2]
+
+
+FAST = constant_scenario(rate=8.0, tau=100.0)  # exp(100 * 8) overflows a float
+RICH = constant_scenario(rate=0.5, k0=1e307)  # finite growth, a value beyond range
+
+
+@pytest.mark.parametrize(
+    "closed_form",
+    [
+        lambda: npv(FAST, 100.0, 0.05),
+        lambda: leveraged_npv(FAST, 100.0, 0.05, 0.02, 1.0),
+        lambda: leverage_npv_ratio(FAST, 100.0, 0.05, 0.02, 1.0),
+        lambda: leveraged_discount_rate(FAST, 100.0, 1.0, 0.02),
+        lambda: npv(RICH, 10.0, 0.05),
+        lambda: leveraged_npv(RICH, 10.0, 0.05, 0.02, 1.0),
+    ],
+    ids=["npv", "leveraged_npv", "leverage_npv_ratio", "leveraged_discount_rate",
+         "npv-value", "leveraged_npv-value"],
+)
+def test_beyond_float_range_is_a_typed_error(closed_form):
+    with pytest.raises(DegenerateCapitalError, match="float range"):
+        closed_form()
