@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -30,6 +31,7 @@ from .irr import general_irr, growth_cycle_irr
 from .leverage import leveraged_discount_rate, rroe, rroe_argmax
 from .optimize import refine_argmax
 from .scenario_io import (
+    MAX_INTERVALS,
     ScenarioDocument,
     document_to_json_dict,
     parse_scenario,
@@ -41,30 +43,41 @@ from .valuation import npv
 _METRICS = ("irr", "rroc", "npv", "rroe", "omega")
 
 
+def _finite(text: str) -> float:
+    """argparse type of every numeric flag: a finite float."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a finite number")
+    return value
+
+
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--scenario", required=True, help="scenario JSON file")
     parser.add_argument(
-        "--tau-min", type=float, default=None,
+        "--tau-min", type=_finite, default=None,
         help="grid start in years (default: tau-max / tau-steps)",
     )
     parser.add_argument(
-        "--tau-max", type=float, default=None,
+        "--tau-max", type=_finite, default=None,
         help="grid end in years (default: the scenario's tau)",
     )
     parser.add_argument(
         "--tau-steps", type=int, default=200, help="grid points (default 200)"
     )
     parser.add_argument(
-        "--d", action="append", type=float, default=None, metavar="RATE",
+        "--d", action="append", type=_finite, default=None, metavar="RATE",
         help="discount rate per year; repeat for several (needed for npv)",
     )
     parser.add_argument(
-        "--u", action="append", type=float, default=None, metavar="RATE",
+        "--u", action="append", type=_finite, default=None, metavar="RATE",
         help="market interest rate per year; repeat for several "
         "(needed for rroe and omega)",
     )
     parser.add_argument(
-        "--L", type=float, default=1.0, metavar="RATIO",
+        "--L", type=_finite, default=1.0, metavar="RATIO",
         help="leverage ratio (default 1.0)",
     )
 
@@ -105,8 +118,8 @@ def _load_document(path: str) -> ScenarioDocument:
 def _tau_grid(args, doc: ScenarioDocument) -> np.ndarray:
     tau_max = args.tau_max if args.tau_max is not None else doc.rotation_length
     steps = args.tau_steps
-    if steps < 2:
-        raise CapReturnError("--tau-steps must be at least 2")
+    if not 2 <= steps <= MAX_INTERVALS:  # checked before it sizes the grid and the table
+        raise CapReturnError(f"--tau-steps must be between 2 and {MAX_INTERVALS}")
     tau_min = args.tau_min if args.tau_min is not None else tau_max / steps
     if not 0.0 < tau_min < tau_max:
         raise CapReturnError("need 0 < --tau-min < --tau-max")

@@ -41,8 +41,8 @@ class InvalidDiscountError(CapReturnError, ValueError):
 
 
 class IndeterminateRatioError(CapReturnError, ArithmeticError):
-    """The unleveraged present value is zero within tolerance, so the
-    leverage ratio is singular."""
+    """The unleveraged present value is zero, or too near zero for the
+    leverage ratio to be known, so the ratio is singular."""
 
 
 class InvalidLeverageError(CapReturnError, ValueError):

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateCapitalError
+from .errors import DegenerateCapitalError, UnsupportedScheduleError
 from .paths import ReturnPath, _require_within
 from .quadrature import (
     DEFAULT_INTERVALS,
@@ -34,6 +34,10 @@ class InvestmentEvent:
 
     time: float
     amount: float
+
+    def __post_init__(self):
+        if not (math.isfinite(self.time) and math.isfinite(self.amount)):
+            raise ValueError("time and amount must be finite")
 
 
 @dataclass(frozen=True)
@@ -85,6 +89,22 @@ def _exp(x: float) -> float:
         return math.exp(x)
     except OverflowError:
         raise DegenerateCapitalError(f"growth factor exp({x:.6g}) is beyond float range") from None
+
+
+def _cycle_average(scenario: GrowthScenario, tau: float, intervals: int) -> float:
+    """Time-average spot rate over ``[0, tau]``: all that the closed forms
+    (IRR, present values, break-even rate) take from the path, since
+    without intermediate events they depend on it through nothing else.
+
+    Raises:
+        UnsupportedScheduleError: if the scenario has investment events.
+    """
+    if scenario.investments:
+        raise UnsupportedScheduleError(
+            "closed forms (IRR, present values, break-even rate) need an "
+            "investment-free scenario"
+        )
+    return scenario.path.time_average_rate(tau, intervals=intervals)
 
 
 def with_rotation(scenario: GrowthScenario, rotation_length: float) -> GrowthScenario:

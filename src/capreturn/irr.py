@@ -2,9 +2,10 @@
 
 Two routes are provided. For an investment-free growth cycle the IRR has
 a closed form: the discount rate that zeroes the discounted terminal
-gain is exactly the time-average spot rate over the rotation
-(:func:`growth_cycle_irr`). For an arbitrary dated cash-flow schedule,
-discounting each event continuously and substituting
+gain is exactly the time-average spot rate over the rotation, so it
+depends on the path through that average alone, however the rate is
+sequenced (:func:`growth_cycle_irr`). For an arbitrary dated cash-flow
+schedule, discounting each event continuously and substituting
 ``x = exp(-rate * step)`` turns the zero-value condition into a
 polynomial in ``x``, whose full complex root set is found by
 simultaneous iteration (:func:`general_irr`). Most of those roots carry
@@ -22,9 +23,8 @@ from .errors import (
     DiscretizationError,
     NoRootError,
     RootConvergenceError,
-    UnsupportedScheduleError,
 )
-from .growth import GrowthScenario
+from .growth import GrowthScenario, _cycle_average
 from .quadrature import DEFAULT_INTERVALS
 
 #: Event times must sit on the common grid within this many years.
@@ -34,8 +34,12 @@ TIME_TOLERANCE = 1e-9
 #: this fraction of sum(|C_k|).
 RESIDUAL_TOLERANCE = 1e-8
 
+# Largest polynomial degree solved; it sizes the coefficient array.
+_MAX_DEGREE = 4096
+
 _MAX_ITERATIONS = 500
 _MOVEMENT_TOLERANCE = 1e-12
+_START_SEED = 0
 
 
 @dataclass(frozen=True)
@@ -44,6 +48,10 @@ class CashEvent:
 
     time: float
     amount: float
+
+    def __post_init__(self):
+        if not (math.isfinite(self.time) and math.isfinite(self.amount)):
+            raise ValueError("time and amount must be finite")
 
 
 @dataclass(frozen=True)
@@ -111,12 +119,8 @@ def growth_cycle_irr(
             investment events (convert those to a cash-flow schedule and
             use :func:`general_irr` instead).
     """
-    if scenario.investments:
-        raise UnsupportedScheduleError(
-            "growth-cycle IRR needs an investment-free scenario"
-        )
     tau = scenario.rotation_length if rotation_length is None else rotation_length
-    return scenario.path.time_average_rate(tau, intervals=intervals)
+    return _cycle_average(scenario, tau, intervals)
 
 
 def _common_step(times: list[float]) -> float:
@@ -142,20 +146,21 @@ def _common_step(times: list[float]) -> float:
     return step
 
 
-def _durand_kerner(coeffs: np.ndarray, seed: int) -> np.ndarray:
+def _durand_kerner(coeffs: np.ndarray) -> np.ndarray:
     """All complex roots of a polynomial by simultaneous iteration.
 
-    ``coeffs`` are ascending powers. Starts from a randomized ring
-    (deterministic via ``seed``) and updates every root estimate at once;
-    stops when estimates stop moving or the polynomial values are at
-    rounding level relative to their own magnitude scale.
+    ``coeffs`` are ascending powers. Starts from a ring with a seeded
+    random phase and updates every root estimate at once; stops when
+    estimates stop moving or the polynomial values are at rounding level
+    relative to their own magnitude scale. A NaN estimate makes every
+    estimate NaN on the next step, so the iteration gives up at once.
     """
     monic = np.asarray(coeffs, dtype=complex) / coeffs[-1]
     degree = len(monic) - 1
     descending = monic[::-1]
     magnitude_scale = np.abs(descending)
 
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_START_SEED)
     radius = 1.0 + float(np.max(np.abs(monic[:-1])))
     angles = 2.0 * np.pi * (np.arange(degree) + rng.uniform(0.1, 0.9)) / degree
     roots = radius * np.exp(1j * angles)
@@ -169,6 +174,8 @@ def _durand_kerner(coeffs: np.ndarray, seed: int) -> np.ndarray:
         np.fill_diagonal(diffs, 1.0)
         steps = values / np.prod(diffs, axis=1)
         roots = roots - steps
+        if np.isnan(roots).any():
+            break
         if float(np.max(np.abs(steps))) < _MOVEMENT_TOLERANCE:
             return roots
     worst = float(np.max(np.abs(np.polyval(descending, roots))))
@@ -192,12 +199,7 @@ def _polish_rate(times: np.ndarray, amounts: np.ndarray, rate: float) -> tuple[f
     return rate, residual
 
 
-def general_irr(
-    schedule: CashFlowSchedule,
-    *,
-    max_degree: int = 4096,
-    seed: int = 0,
-) -> IrrResult:
+def general_irr(schedule: CashFlowSchedule) -> IrrResult:
     """Every rate zeroing the schedule's discounted value.
 
     The event times are placed on their greatest common grid step, the
@@ -209,7 +211,7 @@ def general_irr(
 
     Raises:
         DiscretizationError: times share no common step within tolerance,
-            or the resulting polynomial degree exceeds ``max_degree``.
+            or the resulting polynomial degree exceeds 4096.
         NoRootError: the schedule degenerates (single instant, or all
             amounts cancel) and no rate is defined.
         RootConvergenceError: the simultaneous iteration stalled.
@@ -220,9 +222,9 @@ def general_irr(
     step = _common_step([t for t in times if t > TIME_TOLERANCE])
     exponents = np.rint(times / step).astype(int)
     degree_span = int(exponents.max())
-    if degree_span > max_degree:
+    if degree_span > _MAX_DEGREE:
         raise DiscretizationError(
-            f"discretized polynomial degree {degree_span} exceeds {max_degree}; "
+            f"discretized polynomial degree {degree_span} exceeds {_MAX_DEGREE}; "
             "event times are too finely incommensurate"
         )
 
@@ -236,7 +238,7 @@ def general_irr(
     if degree == 0:
         raise NoRootError("events collapse to a single grid instant")
 
-    roots = _durand_kerner(coeffs, seed)
+    roots = _durand_kerner(coeffs)
 
     amount_scale = float(np.sum(np.abs(amounts)))
     rates: list[float] = []

@@ -17,10 +17,9 @@ from collections.abc import Sequence
 from .errors import (
     CapReturnError,
     InvalidLeverageError,
-    UnsupportedScheduleError,
     WipedOutEquityError,
 )
-from .growth import GrowthScenario, _exp, rroc, with_rotation
+from .growth import GrowthScenario, _cycle_average, _exp, rroc, with_rotation
 from .optimize import refine_argmax
 from .quadrature import DEFAULT_INTERVALS
 
@@ -42,6 +41,8 @@ class LeverageSpec:
 
     def __post_init__(self):
         _require_leverage(self.leverage)
+        if not math.isfinite(self.market_rate):
+            raise ValueError("market_rate must be finite")
         if self.equity is not None and not self.equity > 0.0:
             raise ValueError("equity must be > 0")
 
@@ -80,13 +81,9 @@ def leveraged_discount_rate(
             break-even rate exists.
         DegenerateCapitalError: a growth factor is beyond float range.
     """
-    if scenario.investments:
-        raise UnsupportedScheduleError(
-            "the break-even rate is defined for investment-free rotations"
-        )
     _require_leverage(leverage)
     tau = rotation_length
-    avg = scenario.path.time_average_rate(tau, intervals=intervals)
+    avg = _cycle_average(scenario, tau, intervals)
     inner = 1.0 + leverage * (1.0 - _exp(-tau * (avg - market_rate)))
     if inner <= 0.0:
         raise WipedOutEquityError(

@@ -169,8 +169,10 @@ class TabulatedPath(ReturnPath):
     def __post_init__(self):
         if len(self.knots) < 2:
             raise ValueError("tabulated path needs at least two knots")
-        times = [t for t, _ in self.knots]
-        if any(b <= a for a, b in zip(times, times[1:])):
+        times, rates = self._knot_arrays
+        if not (np.isfinite(times).all() and np.isfinite(rates).all()):
+            raise ValueError("knot times and rates must be finite")
+        if np.any(np.diff(times) <= 0.0):
             raise ValueError("knot times must be strictly increasing")
 
     def domain(self) -> tuple[float, float]:
@@ -195,6 +197,10 @@ class ReversedPath(ReturnPath):
 
     inner: ReturnPath
     horizon: float
+
+    def __post_init__(self):
+        if not math.isfinite(self.horizon):
+            raise ValueError("horizon must be finite")
 
     def domain(self) -> tuple[float, float]:
         lo, hi = self.inner.domain()

@@ -75,6 +75,8 @@ class ValuationSpec:
     def __post_init__(self):
         _require_discount(self.discount_rate)
         _require_leverage(self.leverage)
+        if not math.isfinite(self.market_rate):
+            raise ValueError("market_rate must be finite")
 
 
 @dataclass(frozen=True)
@@ -399,13 +401,7 @@ def write_table(rows: Sequence[Sequence], columns: Sequence[str]) -> str:
 
 
 def _format_cell(cell) -> str:
-    if isinstance(cell, bool):
-        return str(cell)
-    if isinstance(cell, float):
-        if math.isnan(cell) or math.isinf(cell):
-            return str(cell)
-        return format(cell, ".9g")
-    return str(cell)
+    return format(cell, ".9g") if isinstance(cell, float) else str(cell)
 
 
 def read_cash_flow_csv(text: str) -> CashFlowSchedule:
@@ -425,5 +421,8 @@ def read_cash_flow_csv(text: str) -> CashFlowSchedule:
             raise ValueError(f"row {i + 1}: time {row[0]!r} is not numeric")
         if len(row) < 2:
             raise ValueError(f"row {i + 1}: expected time,amount")
-        events.append(CashEvent(time=t, amount=float(row[1])))
+        try:
+            events.append(CashEvent(time=t, amount=float(row[1])))
+        except ValueError as exc:
+            raise ValueError(f"row {i + 1}: {exc}") from None
     return CashFlowSchedule(events=tuple(events))

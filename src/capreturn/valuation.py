@@ -6,33 +6,21 @@ capitalizes the infinite sequence of identical future rotations through
 the factor ``1 / (1 - exp(-d * tau))``. The leveraged variant replaces
 the rotation's terminal value with the equity holder's share after the
 loan and its compounded interest are repaid at the rotation end.
+
+Without intermediate investments every value here depends on the path
+only through its time-average rate over the rotation: each public
+function takes that one average and evaluates a closed form of
+``(K0, average rate, tau, d, u, L)``.
 """
 
 from __future__ import annotations
 
 import math
 
-from .errors import (
-    CapReturnError,
-    DegenerateCapitalError,
-    IndeterminateRatioError,
-    InvalidDiscountError,
-    UnsupportedScheduleError,
-)
-from .growth import GrowthScenario, _exp
+from .errors import DegenerateCapitalError, IndeterminateRatioError, InvalidDiscountError
+from .growth import GrowthScenario, _cycle_average, _exp
 from .leverage import _require_leverage
 from .quadrature import DEFAULT_INTERVALS
-
-#: |exp(tau*(avg_rate - d)) - 1| below this is treated as a zero
-#: unleveraged value, making the leverage ratio singular.
-ZERO_NPV_TOLERANCE = 1e-10
-
-
-def _require_simple(scenario: GrowthScenario) -> None:
-    if scenario.investments:
-        raise UnsupportedScheduleError(
-            "present values are defined for investment-free rotations"
-        )
 
 
 def _require_discount(discount_rate: float) -> None:
@@ -42,15 +30,27 @@ def _require_discount(discount_rate: float) -> None:
         raise InvalidDiscountError("discount rate must be > 0")
 
 
-def _perpetuity(
-    scenario: GrowthScenario, net_gain: float, discount_rate: float, tau: float
-) -> float:
-    """Initial capital times the net gain of one rotation, earned every
-    ``tau`` years forever and discounted at ``discount_rate``."""
-    value = scenario.initial_capital * net_gain / (1.0 - _exp(-discount_rate * tau))
+def _perpetuity(k0: float, net_gain: float, discount_rate: float, tau: float) -> float:
+    """Initial capital ``k0`` times the net gain of one rotation, earned
+    every ``tau`` years forever and discounted at ``discount_rate``."""
+    factor = 1.0 - _exp(-discount_rate * tau)  # 0 once d * tau is lost in rounding
+    value = k0 * net_gain / factor if factor else math.inf
     if not math.isfinite(value):
         raise DegenerateCapitalError("present value is beyond float range")
     return value
+
+
+def _npv(k0: float, avg: float, tau: float, discount_rate: float) -> float:
+    """:func:`npv` of a rotation whose time-average rate is ``avg``."""
+    return _perpetuity(k0, _exp(tau * (avg - discount_rate)) - 1.0, discount_rate, tau)
+
+
+def _leveraged_npv(
+    k0: float, avg: float, tau: float, discount_rate: float, market_rate: float, leverage: float
+) -> float:
+    """:func:`leveraged_npv` of a rotation whose time-average rate is ``avg``."""
+    terminal = (1.0 + leverage) * _exp(tau * avg) - leverage * _exp(tau * market_rate)
+    return _perpetuity(k0, terminal * _exp(-tau * discount_rate) - 1.0, discount_rate, tau)
 
 
 def npv(
@@ -72,11 +72,9 @@ def npv(
         DegenerateCapitalError: a growth factor or the value is beyond
             float range.
     """
-    _require_simple(scenario)
     _require_discount(discount_rate)
-    tau = rotation_length
-    avg = scenario.path.time_average_rate(tau, intervals=intervals)
-    return _perpetuity(scenario, _exp(tau * (avg - discount_rate)) - 1.0, discount_rate, tau)
+    avg = _cycle_average(scenario, rotation_length, intervals)
+    return _npv(scenario.initial_capital, avg, rotation_length, discount_rate)
 
 
 def leveraged_npv(
@@ -99,15 +97,12 @@ def leveraged_npv(
         DegenerateCapitalError: a growth factor or the value is beyond
             float range.
     """
-    _require_simple(scenario)
     _require_discount(discount_rate)
     _require_leverage(leverage)
-    tau = rotation_length
-    avg = scenario.path.time_average_rate(tau, intervals=intervals)
-    terminal = (1.0 + leverage) * _exp(tau * avg) - leverage * _exp(
-        tau * market_rate
+    avg = _cycle_average(scenario, rotation_length, intervals)
+    return _leveraged_npv(
+        scenario.initial_capital, avg, rotation_length, discount_rate, market_rate, leverage
     )
-    return _perpetuity(scenario, terminal * _exp(-tau * discount_rate) - 1.0, discount_rate, tau)
 
 
 def leverage_npv_ratio(
@@ -123,39 +118,35 @@ def leverage_npv_ratio(
 
     Also evaluates the closed form
     ``1 + L * (exp(tau*r) - exp(tau*u)) / (exp(tau*r) - exp(tau*d))``
-    and insists the two agree to 1e-9 relative as an internal
-    consistency check. When the market rate equals the discount rate the
-    ratio is ``1 + L`` regardless of their level.
+    and returns the ratio only where the two agree to 1e-9 relative.
+    When the market rate equals the discount rate the ratio is ``1 + L``
+    regardless of their level.
 
     Raises:
-        IndeterminateRatioError: the unleveraged value is zero within
-            tolerance (average rate equals the discount rate), where the
-            ratio is singular.
-        DegenerateCapitalError: a growth factor is beyond float range.
+        IndeterminateRatioError: the unleveraged value is zero, or so
+            near zero (average rate near the discount rate) that the two
+            forms disagree: the ratio is singular there.
+        DegenerateCapitalError: a growth factor or a value is beyond
+            float range.
     """
-    _require_simple(scenario)
     _require_discount(discount_rate)
+    _require_leverage(leverage)
     tau = rotation_length
-    avg = scenario.path.time_average_rate(tau, intervals=intervals)
-    if abs(_exp(tau * (avg - discount_rate)) - 1.0) <= ZERO_NPV_TOLERANCE:
-        raise IndeterminateRatioError(
-            "unleveraged present value is zero within tolerance; "
-            "the leverage ratio diverges when the average rate equals "
-            "the discount rate"
-        )
-    base = npv(scenario, tau, discount_rate, intervals=intervals)
-    ratio = (
-        leveraged_npv(
-            scenario, tau, discount_rate, market_rate, leverage, intervals=intervals
-        )
-        / base
-    )
+    avg = _cycle_average(scenario, tau, intervals)
+    k0 = scenario.initial_capital
+    base = _npv(k0, avg, tau, discount_rate)
     growth_term = _exp(tau * avg)
-    closed_form = 1.0 + leverage * (growth_term - _exp(tau * market_rate)) / (
-        growth_term - _exp(tau * discount_rate)
+    gap = growth_term - _exp(tau * discount_rate)
+    # Both forms divide by a difference that vanishes at avg = d and
+    # cancels near it, where they round apart: the ratio is known only
+    # where they agree.
+    if base != 0.0 and gap != 0.0:
+        ratio = _leveraged_npv(k0, avg, tau, discount_rate, market_rate, leverage) / base
+        closed_form = 1.0 + leverage * (growth_term - _exp(tau * market_rate)) / gap
+        if abs(ratio - closed_form) <= 1e-9 * max(1.0, abs(closed_form)):
+            return ratio
+    raise IndeterminateRatioError(
+        "unleveraged present value is zero, or too near zero for the leverage "
+        "ratio's two closed forms to agree to 1e-9; the ratio diverges when "
+        "the average rate equals the discount rate"
     )
-    if abs(ratio - closed_form) > 1e-9 * max(1.0, abs(closed_form)):
-        raise CapReturnError(
-            f"leverage ratio cross-check failed: {ratio!r} vs {closed_form!r}"
-        )
-    return ratio

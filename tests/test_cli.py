@@ -179,6 +179,22 @@ class TestSweep:
         assert "error: " in err[0] and "float range" in err[0]
 
 
+    @pytest.mark.parametrize("flag", ["--d", "--u", "--L", "--tau-min", "--tau-max"])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_flag_rejected(self, hump_file, capsys, flag, value):
+        argv = ["sweep", "--scenario", hump_file, "--metrics", "npv,rroe",
+                "--d", "0.03", "--u", "0.02", flag, value]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert f"argument {flag}: '{value}' is not a finite number" in capsys.readouterr().err
+
+    def test_tau_steps_capped_before_the_grid_is_built(self, hump_file, capsys):
+        argv = ["sweep", "--scenario", hump_file, "--tau-steps", str(2**20 + 1)]
+        assert main(argv) == 1
+        assert "--tau-steps must be between 2 and 1048576" in capsys.readouterr().err
+
+
 class TestOptimize:
     def test_rroc_peaks_before_the_cycle_end_and_before_irr(self, hump_file, capsys):
         assert main(["optimize", "--scenario", hump_file, "--objective", "rroc"]) == 0
@@ -272,3 +288,15 @@ class TestIrrCommand:
         rc = main(["irr", "--cashflows", str(flows)])
         assert rc == 1
         assert "sign change" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "rows, bad_row",
+        [("nan,1\n1,-1\n", 2), ("0,-1\n1,nan\n", 3), ("0,-1\n1,inf\n", 3),
+         ("0,-1\n1,1e400\n", 3)],
+    )
+    def test_non_finite_row_is_one_error_line(self, tmp_path, capsys, rows, bad_row):
+        flows = tmp_path / "flows.csv"
+        flows.write_text("time,amount\n" + rows)
+        assert main(["irr", "--cashflows", str(flows)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"capreturn irr: error: row {bad_row}: time and amount must be finite"]

@@ -126,6 +126,11 @@ class TestScenarioValidation:
         with pytest.raises(ValueError, match="finite"):
             GrowthScenario(k0, tau, ConstantPath(0.05))
 
+    @pytest.mark.parametrize("time, amount", [(math.nan, 0.5), (5.0, math.nan), (5.0, math.inf)])
+    def test_non_finite_event_rejected(self, time, amount):
+        with pytest.raises(ValueError, match="finite"):
+            InvestmentEvent(time, amount)
+
     def test_rotation_beyond_path_domain_rejected(self):
         with pytest.raises(DomainError):
             GrowthScenario(1.0, CYCLE + 1.0, SinSquaredPath(MEAN, SHAPE, CYCLE))

@@ -15,6 +15,7 @@ from capreturn import (
     GrowthScenario,
     InvestmentEvent,
     NoRootError,
+    RootConvergenceError,
     SinSquaredPath,
     UnsupportedScheduleError,
     capital_at,
@@ -53,11 +54,17 @@ class TestGrowthCycleIrr:
         s = GrowthScenario(
             1.0, 10.0, ConstantPath(0.05), (InvestmentEvent(5.0, 0.5),)
         )
-        with pytest.raises(UnsupportedScheduleError):
+        with pytest.raises(UnsupportedScheduleError, match="investment-free"):
             growth_cycle_irr(s)
 
 
 class TestScheduleValidation:
+    @pytest.mark.parametrize("time, amount", [(math.nan, 1.0), (1.0, math.nan),
+                                              (math.inf, 1.0), (1.0, -math.inf)])
+    def test_non_finite_event_rejected(self, time, amount):
+        with pytest.raises(ValueError, match="finite"):
+            CashEvent(time, amount)
+
     def test_needs_two_events(self):
         with pytest.raises(ValueError):
             schedule((0.0, -1.0))
@@ -172,9 +179,26 @@ class TestGeneralIrr:
 
     def test_seed_is_reproducible(self):
         sched = schedule((0.0, -2.0), (1.0, 1.1), (3.0, 0.4), (5.0, 0.9))
-        a = general_irr(sched, seed=7)
-        b = general_irr(sched, seed=7)
+        a = general_irr(sched)
+        b = general_irr(sched)
         assert a == b
+
+    def test_iteration_stops_once_an_estimate_is_nan(self, monkeypatch):
+        # Degree 1024 overflows the pairwise products at once; every
+        # estimate is NaN from then on, so iterating longer is waste.
+        calls = []
+        polyval = np.polyval
+
+        def counted(*args):
+            calls.append(args)
+            return polyval(*args)
+
+        monkeypatch.setattr(np, "polyval", counted)
+        with np.errstate(all="ignore"), pytest.raises(
+            RootConvergenceError, match=r"root iteration did not converge \(residual nan\)"
+        ):
+            general_irr(schedule((0.0, -1.0), (1.0, 0.1), (1024.0, 1.5)))
+        assert len(calls) < 10
 
 
 @settings(max_examples=30, deadline=None)

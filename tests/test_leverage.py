@@ -72,6 +72,10 @@ class TestLeverageSpec:
         with pytest.raises(InvalidLeverageError):
             LeverageSpec(leverage=math.nan, market_rate=0.03)
 
+    def test_non_finite_market_rate_rejected(self):
+        with pytest.raises(ValueError, match="finite"):
+            LeverageSpec(leverage=1.0, market_rate=math.nan)
+
     def test_invalid_equity(self):
         with pytest.raises(ValueError):
             LeverageSpec(leverage=1.0, market_rate=0.03, equity=0.0)
@@ -126,7 +130,7 @@ class TestBreakEvenRate:
         s = GrowthScenario(
             1.0, 10.0, ConstantPath(0.05), (InvestmentEvent(5.0, 0.5),)
         )
-        with pytest.raises(UnsupportedScheduleError):
+        with pytest.raises(UnsupportedScheduleError, match="investment-free"):
             leveraged_discount_rate(s, 10.0, 1.0, 0.03)
 
 

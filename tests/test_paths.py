@@ -90,6 +90,9 @@ class TestConstruction:
             lambda: SinSquaredPath(math.nan, 0.5, 100.0),
             lambda: SinSquaredPath(0.05, math.inf, 100.0),
             lambda: SinSquaredPath(0.05, 0.5, math.nan),
+            lambda: TabulatedPath(((0.0, math.nan), (10.0, 0.1))),
+            lambda: TabulatedPath(((0.0, 0.01), (math.inf, 0.1))),
+            lambda: ReversedPath(ConstantPath(0.05), math.nan),
         ],
     )
     def test_non_finite_parameters_rejected(self, build):

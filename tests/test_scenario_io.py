@@ -262,6 +262,10 @@ class TestValuationSpec:
         with pytest.raises(InvalidLeverageError):
             ValuationSpec(0.03, leverage=-2)
 
+    def test_non_finite_market_rate_rejected(self):
+        with pytest.raises(ValueError, match="finite"):
+            ValuationSpec(0.03, market_rate=math.nan)
+
 
 def sample_documents():
     hump = SinSquaredPath(0.05, 0.5, 100.0)
@@ -448,3 +452,7 @@ class TestCashFlowCsv:
     def test_all_positive_has_no_rate(self):
         with pytest.raises(NoRootError):
             read_cash_flow_csv("time,amount\n0,1\n1,2\n")
+
+    def test_non_finite_number_names_its_row(self):
+        with pytest.raises(ValueError, match="row 3: time and amount must be finite"):
+            read_cash_flow_csv("time,amount\n0,-1\n1,nan\n")

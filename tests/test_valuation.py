@@ -60,12 +60,21 @@ class TestNpv:
         with pytest.raises(InvalidDiscountError):
             npv(constant_scenario(), 10.0, math.nan)
 
-    def test_investments_unsupported(self):
+    @pytest.mark.parametrize(
+        "closed_form",
+        [
+            lambda s: npv(s, 10.0, 0.03),
+            lambda s: leveraged_npv(s, 10.0, 0.03, 0.02, 1.0),
+            lambda s: leverage_npv_ratio(s, 10.0, 0.03, 0.02, 1.0),
+        ],
+        ids=["npv", "leveraged_npv", "leverage_npv_ratio"],
+    )
+    def test_investments_unsupported(self, closed_form):
         s = GrowthScenario(
             1.0, 10.0, ConstantPath(0.05), (InvestmentEvent(5.0, 0.5),)
         )
-        with pytest.raises(UnsupportedScheduleError):
-            npv(s, 10.0, 0.03)
+        with pytest.raises(UnsupportedScheduleError, match="investment-free"):
+            closed_form(s)
 
     @pytest.mark.parametrize("d_tau", [0.2, 0.3, 0.5, 1.0])
     def test_perpetuity_consistency(self, d_tau):
@@ -120,10 +129,29 @@ class TestLeverageRatio:
         hi = leverage_npv_ratio(s, 10.0, 0.08, 0.08, 2.0)
         assert lo == pytest.approx(hi, abs=1e-9)
 
-    def test_singular_when_average_rate_meets_discount(self):
+    # Near d = 0.05 both forms of the ratio divide by a difference that
+    # cancels, and they round apart by more than 1e-9.
+    @pytest.mark.parametrize("d, u", [(0.05, 0.03), (0.05 - 1e-9, 0.02), (0.05 - 5e-11, 0.02)])
+    def test_singular_when_average_rate_meets_discount(self, d, u):
         s = constant_scenario()
         with pytest.raises(IndeterminateRatioError):
-            leverage_npv_ratio(s, 10.0, 0.05, 0.03, 1.0)
+            leverage_npv_ratio(s, 10.0, d, u, 1.0)
+
+    def test_determinate_just_outside_the_singular_band(self):
+        ratio = leverage_npv_ratio(constant_scenario(), 10.0, 0.05 - 1e-8, 0.02, 1.0)
+        assert ratio == pytest.approx(2591818.92, rel=1e-8)
+
+    def test_integrates_the_path_once(self, monkeypatch):
+        calls = []
+        average = ConstantPath.time_average_rate
+
+        def counted(path, horizon, **kwargs):
+            calls.append(horizon)
+            return average(path, horizon, **kwargs)
+
+        monkeypatch.setattr(ConstantPath, "time_average_rate", counted)
+        leverage_npv_ratio(constant_scenario(), 10.0, 0.03, 0.02, 1.0)
+        assert calls == [10.0]
 
     @pytest.mark.parametrize(
         "u,d,above_one",
@@ -166,9 +194,10 @@ RICH = constant_scenario(rate=0.5, k0=1e307)  # finite growth, a value beyond ra
         lambda: leveraged_discount_rate(FAST, 100.0, 1.0, 0.02),
         lambda: npv(RICH, 10.0, 0.05),
         lambda: leveraged_npv(RICH, 10.0, 0.05, 0.02, 1.0),
+        lambda: npv(constant_scenario(), 10.0, 1e-20),
     ],
     ids=["npv", "leveraged_npv", "leverage_npv_ratio", "leveraged_discount_rate",
-         "npv-value", "leveraged_npv-value"],
+         "npv-value", "leveraged_npv-value", "npv-tiny-discount"],
 )
 def test_beyond_float_range_is_a_typed_error(closed_form):
     with pytest.raises(DegenerateCapitalError, match="float range"):
