@@ -28,7 +28,7 @@ import numpy as np
 from .errors import CapReturnError
 from .growth import rroc, with_rotation
 from .irr import general_irr, growth_cycle_irr
-from .leverage import leveraged_discount_rate, rroe, rroe_argmax
+from .leverage import _rroc_optimum, leveraged_discount_rate, rroe, rroe_argmax
 from .optimize import refine_argmax
 from .scenario_io import (
     MAX_INTERVALS,
@@ -211,10 +211,13 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
-def _competing_report(doc: ScenarioDocument, tau: float, args) -> list[str]:
+def _competing_report(doc: ScenarioDocument, tau: float, s: float | None, args) -> list[str]:
+    """The criteria at ``tau``; ``s`` is the capital return there, when the
+    search has it already."""
     intervals = doc.quadrature_intervals
     scenario = with_rotation(doc.scenario(), tau)
-    s = rroc(scenario, intervals=intervals)
+    if s is None:
+        s = rroc(scenario, intervals=intervals)
     lines = [f"  rroc = {s:.9g}"]
     if not scenario.investments:  # the IRR and present values need a cycle without events
         lines.append(f"  irr  = {growth_cycle_irr(scenario, tau, intervals=intervals):.9g}")
@@ -232,32 +235,33 @@ def _cmd_optimize(args) -> int:
     base = doc.scenario()
 
     def optima():
-        """(label, (tau*, value)) per objective, each found as it is needed."""
+        """(label, (tau*, value), rroc at tau* or None) per objective,
+        each found as it is needed."""
         if args.objective == "rroc":
-            yield "objective rroc", refine_argmax(
-                lambda tau: rroc(with_rotation(base, tau), intervals=intervals), grid
-            )
+            optimum = _rroc_optimum(base, grid, intervals)
+            yield "objective rroc", optimum, optimum[1]
         elif args.objective == "irr":
             yield "objective irr", refine_argmax(
                 lambda tau: growth_cycle_irr(with_rotation(base, tau), tau, intervals=intervals),
                 grid,
-            )
+            ), None
         elif args.objective == "npv":
             for d in _rates(args.d, "--d", "objective npv"):
                 yield f"objective npv, d={d:g}", refine_argmax(
                     lambda tau: npv(with_rotation(base, tau), tau, d, intervals=intervals), grid
-                )
+                ), None
         elif args.objective == "rroe":
-            # One capital-return search serves every market rate.
+            # One capital-return search serves every market rate: rroe_argmax
+            # checks --L, and its remembered search gives rroc at tau*.
             for u in _rates(args.u, "--u", "objective rroe"):
                 tau = rroe_argmax(base, args.L, u, grid, intervals=intervals)
-                s = rroc(with_rotation(base, tau), intervals=intervals)
-                yield f"objective rroe, L={args.L:g}, u={u:g}", (tau, rroe(s, args.L, u))
+                _, s = _rroc_optimum(base, grid, intervals)
+                yield f"objective rroe, L={args.L:g}, u={u:g}", (tau, rroe(s, args.L, u)), s
 
-    for label, (tau_star, value) in optima():
+    for label, (tau_star, value), s in optima():
         print(f"{label}: tau* = {tau_star:.9g}, value = {value:.9g}")
         print("competing criteria at tau*:")
-        for line in _competing_report(doc, tau_star, args):
+        for line in _competing_report(doc, tau_star, s, args):
             print(line)
     return 0
 

@@ -14,21 +14,25 @@ import math
 from dataclasses import dataclass
 from collections.abc import Sequence
 
+import numpy as np
+
 from .errors import (
     CapReturnError,
     InvalidLeverageError,
     WipedOutEquityError,
 )
-from .growth import GrowthScenario, _cycle_average, _exp, rroc, with_rotation
-from .optimize import refine_argmax
-from .quadrature import DEFAULT_INTERVALS
+from .growth import GrowthScenario, _cycle_average, _exp, _segments, rroc, with_rotation
+from .optimize import _bracketed_root
+from .quadrature import DEFAULT_INTERVALS, cumulative_simpson_nodes
 
 
 def _require_leverage(leverage: float) -> None:
     """Raise InvalidLeverageError for a leverage ratio below -1 (no more
-    than all of the equity can be lent out) or NaN."""
+    than all of the equity can be lent out), NaN or infinite."""
     if not leverage >= -1.0:
         raise InvalidLeverageError("leverage ratio cannot be below -1")
+    if leverage == math.inf:
+        raise InvalidLeverageError("leverage ratio must be finite")
 
 
 @dataclass(frozen=True)
@@ -45,6 +49,8 @@ class LeverageSpec:
             raise ValueError("market_rate must be finite")
         if self.equity is not None and not self.equity > 0.0:
             raise ValueError("equity must be > 0")
+        if self.equity == math.inf:
+            raise ValueError("equity must be finite")
 
 
 def rroe(return_on_capital: float, leverage: float, market_rate: float) -> float:
@@ -104,19 +110,74 @@ def leveraged_discount_rate(
 @functools.lru_cache(maxsize=1)
 def _rroc_argmax(
     scenario: GrowthScenario, rotation_grid: tuple[float, ...], intervals: int
-) -> float:
-    """Rotation length maximizing the capital return over the grid,
-    refined by golden section.
+) -> tuple[float, float]:
+    """Rotation length maximizing the capital return between the
+    shortest and the longest rotation of the grid, and the capital
+    return there.
+
+    One Simpson pass over the longest rotation, cut at every grid point,
+    gives the whole capital-return curve: the running integrals of
+    ``K * r`` and of ``K`` at a node are those of the rotation ending
+    there, since a shorter rotation only drops the events at or after
+    its end. The best node, the shortest of equals, is bracketed by its
+    nearest distinct neighbours. As
+    ``d rroc / d tau = K(tau) / C(tau) * (r(tau) - rroc(tau))``, with
+    ``C`` the integral of ``K``, the maximum is where the spot rate falls
+    to the capital return; that root is solved for, with every
+    ``rroc(tau)`` evaluated on its own rotation. Without a sign change in
+    the bracket (a maximum at an end of the range, a flat path) the end
+    with the larger capital return wins. The returned value is
+    ``rroc(with_rotation(scenario, tau))``.
 
     The one entry remembers the latest search, so the equity-return
     maximizers of one scenario at several market rates or leverages
     share it. Arguments must be hashable; they compare by value.
+
+    Raises:
+        ValueError: empty grid, or a grid point that is not positive.
+        DegenerateCapitalError: from the pass over the longest rotation.
     """
-    best_tau, _ = refine_argmax(
-        lambda tau: rroc(with_rotation(scenario, tau), intervals=intervals),
-        rotation_grid,
+    grid = np.sort(rotation_grid)  # NaN last
+    if not grid.size:
+        raise ValueError("grid must not be empty")
+    first, last = float(grid[0]), float(grid[-1])
+    if not first > 0.0:
+        raise ValueError("rotation lengths must be > 0")
+    times, steps, rates, capital = _segments(with_rotation(scenario, last), grid, intervals)
+    inside = times >= first
+    taus = times[inside]
+    curve = (
+        cumulative_simpson_nodes(capital * rates, steps)[inside]
+        / cumulative_simpson_nodes(capital, steps)[inside]
     )
-    return best_tau
+    best = taus[np.argmax(curve)]  # nodes ascend, so ties go to the shorter
+    below, above = taus[taus < best], taus[taus > best]
+    lo = float(below[-1]) if below.size else float(best)
+    hi = float(above[0]) if above.size else float(best)
+
+    values = {}
+
+    def rate_gap(tau: float) -> float:
+        if tau not in values:
+            values[tau] = rroc(with_rotation(scenario, tau), intervals=intervals)
+        return scenario.path.evaluate(tau) - values[tau]
+
+    root = _bracketed_root(rate_gap, lo, hi, tol=1e-9 * max(1.0, hi))
+    tau = root if root is not None else max((lo, hi), key=lambda t: (values[t], -t))
+    return tau, values[tau]
+
+
+def _rroc_optimum(
+    scenario: GrowthScenario, rotation_grid: Sequence[float], intervals: int
+) -> tuple[float, float]:
+    """``_rroc_argmax`` of any grid sequence; a scenario that cannot be
+    hashed (a path of a non-frozen dataclass, say) is searched afresh."""
+    grid = tuple(map(float, rotation_grid))
+    try:
+        hash(scenario)
+    except TypeError:
+        return _rroc_argmax.__wrapped__(scenario, grid, intervals)
+    return _rroc_argmax(scenario, grid, intervals)
 
 
 def rroe_argmax(
@@ -127,30 +188,31 @@ def rroe_argmax(
     *,
     intervals: int = DEFAULT_INTERVALS,
 ) -> float:
-    """Rotation length maximizing the return rate on equity.
+    """Rotation length maximizing the return rate on equity, between the
+    shortest and the longest rotation of the grid.
 
     The equity return ``(1 + L) * rroc - L * u`` is a positive affine
     transform of the capital return whenever leverage exceeds -1, so its
-    maximizer is the capital return's own. This returns the result of
-    one capital-return search (grid scan, then golden section) per
-    scenario, grid and interval count, which the latest call shares with
-    the next: the result is exactly the same for every market rate and
-    every leverage above -1. A scenario that cannot be hashed (a path of
-    a non-frozen dataclass, say) is searched afresh on every call.
+    maximizer is the capital return's own: the rotation where the spot
+    rate falls to the capital return, ``r(tau*) = rroc(tau*)``. One pass
+    over the longest rotation gives the capital return at every node;
+    the best node brackets that root. The grid bounds the search range,
+    it does not limit the candidates. The search is made once per
+    scenario, grid and interval count, and the latest call shares it
+    with the next: the result is exactly the same for every market rate
+    and every leverage above -1. A scenario that cannot be hashed (a
+    path of a non-frozen dataclass, say) is searched afresh on every
+    call.
 
     Raises:
-        InvalidLeverageError: leverage <= -1 (at exactly -1 the equity
-            return is the market rate at every rotation length, so the
-            maximizer is undefined).
+        InvalidLeverageError: leverage <= -1, NaN or infinite (at
+            exactly -1 the equity return is the market rate at every
+            rotation length, so the maximizer is undefined).
         ValueError: empty grid.
     """
-    if not leverage > -1.0:
+    _require_leverage(leverage)
+    if leverage == -1.0:
         raise InvalidLeverageError(
             "equity-return maximizer needs leverage strictly above -1"
         )
-    grid = tuple(map(float, rotation_grid))
-    try:
-        hash(scenario)
-    except TypeError:
-        return _rroc_argmax.__wrapped__(scenario, grid, intervals)
-    return _rroc_argmax(scenario, grid, intervals)
+    return _rroc_optimum(scenario, rotation_grid, intervals)[0]

@@ -1,4 +1,5 @@
-"""Grid scan with golden-section refinement for 1-D maxima."""
+"""Grid scan with golden-section refinement for 1-D maxima, and a
+bracketed root finder."""
 
 from __future__ import annotations
 
@@ -65,3 +66,53 @@ def refine_argmax(
     if y > values[best]:
         return x, y
     return pts[best], values[best]
+
+
+def _bracketed_root(
+    f: Callable[[float], float], a: float, b: float, tol: float
+) -> float | None:
+    """A root of ``f`` between ``a`` and ``b`` to within ``tol``, by
+    Brent's method: inverse quadratic or secant steps while they shrink
+    the bracket fast enough, bisection otherwise.
+
+    The result is always a point where ``f`` was evaluated. Returns None
+    when ``f(a)`` and ``f(b)`` are nonzero and of one sign, so that no
+    root is bracketed.
+    """
+    fa, fb = f(a), f(b)
+    if fa == 0.0:
+        return a
+    if fb == 0.0:
+        return b
+    if (fa > 0.0) == (fb > 0.0):
+        return None
+    # b is the best estimate, c the other end of the bracket, a the
+    # previous estimate; the last two steps guard interpolation.
+    c, fc = a, fa
+    step = prior = b - a
+    delta = tol / 2.0
+    for _ in range(200):
+        if (fb > 0.0) == (fc > 0.0):
+            c, fc = a, fa
+            step = prior = b - a
+        if abs(fc) < abs(fb):
+            a, fa, b, fb, c, fc = b, fb, c, fc, b, fb
+        half = (c - b) / 2.0
+        if fb == 0.0 or abs(half) <= delta:
+            return b
+        if abs(prior) > delta and abs(fb) < abs(fa):
+            if a == c:  # secant
+                trial = -fb * (b - a) / (fb - fa)
+            else:  # inverse quadratic through a, b and c
+                da, dc = (fa - fb) / (a - b), (fc - fb) / (c - b)
+                trial = -fb * (fc * dc - fa * da) / (dc * da * (fc - fa))
+            if 2.0 * abs(trial) < min(abs(prior), 3.0 * abs(half) - delta):
+                prior, step = step, trial
+            else:
+                prior = step = half
+        else:
+            prior = step = half
+        a, fa = b, fb
+        b += step if abs(step) > delta else math.copysign(delta, half)
+        fb = f(b)
+    return b

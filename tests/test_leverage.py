@@ -10,15 +10,20 @@ from hypothesis import strategies as st
 
 from capreturn import (
     ConstantPath,
+    DegenerateCapitalError,
     GrowthScenario,
     InvalidLeverageError,
     InvestmentEvent,
     LeverageSpec,
     ReturnPath,
+    ScenarioValidationError,
     SinSquaredPath,
+    TabulatedPath,
     UnsupportedScheduleError,
     WipedOutEquityError,
     leveraged_discount_rate,
+    leveraged_npv,
+    parse_scenario,
     refine_argmax,
     rroc,
     rroe,
@@ -52,6 +57,10 @@ class TestRroe:
         with pytest.raises(InvalidLeverageError):
             rroe(0.05, -1.01, 0.03)
 
+    def test_infinite_leverage_rejected(self):
+        with pytest.raises(InvalidLeverageError, match="leverage ratio must be finite"):
+            rroe(0.05, math.inf, 0.05)
+
 
 @settings(max_examples=50)
 @given(s=st.floats(-0.5, 0.5), u=st.floats(-0.2, 0.2))
@@ -69,8 +78,29 @@ class TestLeverageSpec:
             LeverageSpec(leverage=-2.0, market_rate=0.03)
 
     def test_nan_leverage_rejected(self):
-        with pytest.raises(InvalidLeverageError):
+        with pytest.raises(InvalidLeverageError, match="cannot be below -1"):
             LeverageSpec(leverage=math.nan, market_rate=0.03)
+
+    def test_infinite_leverage_rejected(self):
+        with pytest.raises(InvalidLeverageError, match="leverage ratio must be finite"):
+            LeverageSpec(leverage=math.inf, market_rate=0.03)
+
+    def test_infinite_equity_rejected(self):
+        with pytest.raises(ValueError, match="equity must be finite"):
+            LeverageSpec(leverage=1.0, market_rate=0.03, equity=math.inf)
+
+    def test_infinite_leverage_rejected_by_the_closed_forms(self):
+        s = GrowthScenario(1.0, 10.0, ConstantPath(0.05))
+        with pytest.raises(InvalidLeverageError, match="leverage ratio must be finite"):
+            leveraged_npv(s, 10.0, 0.03, 0.02, math.inf)
+        with pytest.raises(InvalidLeverageError, match="leverage ratio must be finite"):
+            leveraged_discount_rate(s, 10.0, math.inf, 0.02)
+
+    def test_infinite_leverage_rejected_by_the_parser(self):
+        doc = '{"K0": 1, "tau": 10, "path": {"kind": "constant", "rate": 0.05}, '
+        with pytest.raises(ScenarioValidationError) as err:
+            parse_scenario(doc + '"leverage": {"leverage": 1e400}}')
+        assert err.value.violations == [("leverage.leverage", "must be a finite number")]
 
     def test_non_finite_market_rate_rejected(self):
         with pytest.raises(ValueError, match="finite"):
@@ -169,6 +199,10 @@ class TestRroeArgmax:
     def test_full_lending_has_no_optimum(self):
         with pytest.raises(InvalidLeverageError):
             rroe_argmax(hump_scenario(), -1.0, 0.03, [10.0, 20.0])
+
+    def test_infinite_leverage_has_no_optimum(self):
+        with pytest.raises(InvalidLeverageError, match="must be finite"):
+            rroe_argmax(hump_scenario(), math.inf, 0.03, [10.0, 20.0])
 
     @pytest.mark.parametrize("leverage", [-0.5, 0.0, 1.0, 5.0])
     def test_matches_a_search_over_the_equity_return(self, leverage):
@@ -276,3 +310,100 @@ class TestBreakEvenConflictsWithEquityReturn:
         step = grid[1] - grid[0]
         assert max(rroe_stars) - min(rroe_stars) <= step
         assert max(omega_stars) - min(omega_stars) > step
+
+
+def noisy_scenario(seed):
+    """A noisy piecewise-linear hump with investment events and
+    withdrawals, built like the benchmark's ``events`` inputs."""
+    rng = np.random.default_rng(seed)
+    tau = rng.uniform(20.0, 80.0)
+    times = np.linspace(0.0, tau, 300)
+    rates = (rng.uniform(0.0, 0.02) + rng.uniform(0.03, 0.05) * np.sin(math.pi * times / tau)
+             + rng.normal(0.0, 0.01, times.size))
+    slots = (np.arange(12) + rng.uniform(0.1, 0.9, 12)) / 12
+    amounts = np.where(rng.uniform(size=12) < 0.5, rng.uniform(0.05, 0.5, 12), -0.1)
+    events = tuple(InvestmentEvent(float(t), float(a))
+                   for t, a in zip(tau * (0.02 + 0.96 * slots), amounts))
+    path = TabulatedPath(tuple(zip(times.tolist(), rates.tolist())))
+    return GrowthScenario(1.0, tau, path, events), list(np.linspace(0.3 * tau, tau, 5))
+
+
+class TestRrocSearch:
+    """The capital-return search behind rroe_argmax: one pass over the
+    longest rotation, then the root of r(tau) - rroc(tau)."""
+
+    def test_matches_the_first_order_condition_on_a_hump(self):
+        s = GrowthScenario(1.0, 80.0, SinSquaredPath(0.05, 0.3, 80.0))
+        tau = rroe_argmax(s, 1.0, 0.02, np.linspace(0.4, 80.0, 200))
+
+        def rate_gap(t):
+            return s.path.evaluate(t) - rroc(with_rotation(s, t), intervals=65536)
+
+        assert tau == pytest.approx(bisect_root(rate_gap, 45.0, 55.0), abs=1e-8)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_not_below_golden_section_on_noisy_events(self, seed):
+        s, grid = noisy_scenario(seed)
+        golden, _ = refine_argmax(lambda t: rroc(with_rotation(s, t)), grid)
+        tau = rroe_argmax(s, 1.0, 0.02, grid)
+        assert grid[0] <= tau <= grid[-1]
+        reached = rroc(with_rotation(s, tau))
+        assert reached >= rroc(with_rotation(s, golden)) * (1.0 - 1e-12)
+
+    def test_returns_the_capital_return_at_the_optimum(self):
+        s, grid = noisy_scenario(4)
+        tau, value = leverage_module._rroc_argmax(s, tuple(grid), 1024)
+        assert value == rroc(with_rotation(s, tau), intervals=1024)
+
+    def test_few_capital_return_passes(self, rroc_calls):
+        rroe_argmax(hump_scenario(), 1.0, 0.02, TestSharedSearch.GRID)
+        assert 0 < len(rroc_calls) <= 12
+
+    def test_one_point_grid(self, rroc_calls):
+        s = hump_scenario()
+        tau, value = leverage_module._rroc_argmax(s, (40.0,), 256)
+        assert (tau, value) == (40.0, rroc(with_rotation(s, 40.0), intervals=256))
+        assert rroc_calls == [40.0]
+
+    @pytest.mark.parametrize("grid, end", [((10.0, 30.0), 30.0), ((70.0, 90.0), 70.0)])
+    def test_maximum_at_an_end_of_the_grid(self, grid, end):
+        # The hump's capital return peaks near tau = 62: it still rises
+        # at 30 and falls from 70 on.
+        assert rroe_argmax(hump_scenario(), 1.0, 0.02, grid) == end
+
+    def test_unsorted_grid_with_a_duplicate_point(self):
+        s = hump_scenario()
+        shuffled = rroe_argmax(s, 1.0, 0.02, (90.0, 10.0, 50.0, 50.0, 30.0, 70.0))
+        assert shuffled == rroe_argmax(s, 1.0, 0.02, (10.0, 30.0, 50.0, 50.0, 70.0, 90.0))
+        # The repeated cut adds a panel of zero width, and no candidate.
+        distinct = rroe_argmax(s, 1.0, 0.02, TestSharedSearch.GRID)
+        assert shuffled == pytest.approx(distinct, abs=1e-9 * CYCLE)
+
+    def test_constant_path(self):
+        s = GrowthScenario(1.0, 10.0, ConstantPath(0.05))
+        found = []
+        for _ in range(2):
+            leverage_module._rroc_argmax.cache_clear()
+            found.append(leverage_module._rroc_argmax(s, (2.0, 4.0, 6.0), 64))
+        assert found[0] == found[1]
+        tau, value = found[0]
+        assert 2.0 <= tau <= 6.0
+        assert value == pytest.approx(0.05, rel=1e-14)
+
+    @pytest.mark.parametrize(
+        "scenario",
+        [
+            GrowthScenario(1.0, 100.0, ConstantPath(8.0)),
+            GrowthScenario(1.0, 10.0, ConstantPath(0.05), (InvestmentEvent(5.0, -2.0),)),
+        ],
+        ids=["overflow", "nonpositive"],
+    )
+    def test_degenerate_capital_raised_by_the_full_pass(self, rroc_calls, scenario):
+        grid = np.linspace(1.0, scenario.rotation_length, 10)
+        with pytest.raises(DegenerateCapitalError), np.errstate(over="ignore"):
+            rroe_argmax(scenario, 1.0, 0.02, grid)
+        assert rroc_calls == []
+
+    def test_nonpositive_rotation_rejected(self):
+        with pytest.raises(ValueError, match="> 0"):
+            rroe_argmax(hump_scenario(), 1.0, 0.02, (0.0, 10.0))
