@@ -154,17 +154,17 @@ def _sweep_row(doc: ScenarioDocument, tau: float, metrics: list[str], args) -> l
     row: list = [tau, scenario.path.time_average_rate(tau, intervals=intervals)]
     for metric in metrics:
         if metric == "irr":
-            row.append(growth_cycle_irr(scenario, tau, intervals=intervals))
+            row.append(growth_cycle_irr(scenario, intervals=intervals))
         elif metric == "rroc":
             row.append(rroc(scenario, intervals=intervals))
         elif metric == "npv":
-            row += [npv(scenario, tau, d, intervals=intervals) for d in args.d]
+            row += [npv(scenario, d, intervals=intervals) for d in args.d]
         elif metric == "rroe":
             s = rroc(scenario, intervals=intervals)
             row += [rroe(s, args.L, u) for u in args.u]
         elif metric == "omega":
             row += [
-                leveraged_discount_rate(scenario, tau, args.L, u, intervals=intervals)
+                leveraged_discount_rate(scenario, args.L, u, intervals=intervals)
                 for u in args.u
             ]
     return row
@@ -220,9 +220,9 @@ def _competing_report(doc: ScenarioDocument, tau: float, s: float | None, args) 
         s = rroc(scenario, intervals=intervals)
     lines = [f"  rroc = {s:.9g}"]
     if not scenario.investments:  # the IRR and present values need a cycle without events
-        lines.append(f"  irr  = {growth_cycle_irr(scenario, tau, intervals=intervals):.9g}")
+        lines.append(f"  irr  = {growth_cycle_irr(scenario, intervals=intervals):.9g}")
         for d in args.d or []:
-            lines.append(f"  npv(d={d:g}) = {npv(scenario, tau, d, intervals=intervals):.9g}")
+            lines.append(f"  npv(d={d:g}) = {npv(scenario, d, intervals=intervals):.9g}")
     for u in args.u or []:
         lines.append(f"  rroe(L={args.L:g}, u={u:g}) = {rroe(s, args.L, u):.9g}")
     return lines
@@ -242,13 +242,13 @@ def _cmd_optimize(args) -> int:
             yield "objective rroc", optimum, optimum[1]
         elif args.objective == "irr":
             yield "objective irr", refine_argmax(
-                lambda tau: growth_cycle_irr(with_rotation(base, tau), tau, intervals=intervals),
+                lambda tau: growth_cycle_irr(with_rotation(base, tau), intervals=intervals),
                 grid,
             ), None
         elif args.objective == "npv":
             for d in _rates(args.d, "--d", "objective npv"):
                 yield f"objective npv, d={d:g}", refine_argmax(
-                    lambda tau: npv(with_rotation(base, tau), tau, d, intervals=intervals), grid
+                    lambda tau: npv(with_rotation(base, tau), d, intervals=intervals), grid
                 ), None
         elif args.objective == "rroe":
             # One capital-return search serves every market rate: rroe_argmax

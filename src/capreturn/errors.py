@@ -50,8 +50,8 @@ class InvalidLeverageError(CapReturnError, ValueError):
 
 
 class WipedOutEquityError(CapReturnError, ArithmeticError):
-    """Leveraged terminal value is nonpositive; no break-even discount
-    rate exists."""
+    """Leveraged terminal value is nonpositive, or within rounding of
+    zero; no break-even discount rate exists or can be trusted."""
 
 
 class ScenarioParseError(CapReturnError, ValueError):

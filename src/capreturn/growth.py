@@ -91,8 +91,8 @@ def _exp(x: float) -> float:
         raise DegenerateCapitalError(f"growth factor exp({x:.6g}) is beyond float range") from None
 
 
-def _cycle_average(scenario: GrowthScenario, tau: float, intervals: int) -> float:
-    """Time-average spot rate over ``[0, tau]``: all that the closed forms
+def _cycle_average(scenario: GrowthScenario, intervals: int) -> float:
+    """Time-average spot rate over the rotation: all that the closed forms
     (IRR, present values, break-even rate) take from the path, since
     without intermediate events they depend on it through nothing else.
 
@@ -104,11 +104,12 @@ def _cycle_average(scenario: GrowthScenario, tau: float, intervals: int) -> floa
             "closed forms (IRR, present values, break-even rate) need an "
             "investment-free scenario"
         )
-    return scenario.path.time_average_rate(tau, intervals=intervals)
+    return scenario.path.time_average_rate(scenario.rotation_length, intervals=intervals)
 
 
 def with_rotation(scenario: GrowthScenario, rotation_length: float) -> GrowthScenario:
-    """Rescope a scenario to a different rotation length.
+    """Rescope a scenario to a different rotation length: how any function
+    of a scenario, the closed forms included, values another rotation.
 
     Events at or beyond the new terminal time are dropped (the terminal
     divestment is never an intermediate event).

@@ -103,10 +103,7 @@ class IrrResult:
 
 
 def growth_cycle_irr(
-    scenario: GrowthScenario,
-    rotation_length: float | None = None,
-    *,
-    intervals: int = DEFAULT_INTERVALS,
+    scenario: GrowthScenario, *, intervals: int = DEFAULT_INTERVALS
 ) -> float:
     """IRR of an investment-free growth cycle, per year.
 
@@ -119,8 +116,7 @@ def growth_cycle_irr(
             investment events (convert those to a cash-flow schedule and
             use :func:`general_irr` instead).
     """
-    tau = scenario.rotation_length if rotation_length is None else rotation_length
-    return _cycle_average(scenario, tau, intervals)
+    return _cycle_average(scenario, intervals)
 
 
 def _common_step(times: list[float]) -> float:

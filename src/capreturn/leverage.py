@@ -16,11 +16,7 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from .errors import (
-    CapReturnError,
-    InvalidLeverageError,
-    WipedOutEquityError,
-)
+from .errors import InvalidLeverageError, WipedOutEquityError
 from .growth import GrowthScenario, _cycle_average, _exp, _segments, rroc, with_rotation
 from .optimize import _bracketed_root
 from .quadrature import DEFAULT_INTERVALS, cumulative_simpson_nodes
@@ -37,20 +33,16 @@ def _require_leverage(leverage: float) -> None:
 
 @dataclass(frozen=True)
 class LeverageSpec:
-    """Leverage ratio, market interest rate, and optional explicit equity."""
+    """Leverage ratio and market interest rate. Equity is not an input:
+    it is ``K0 / (1 + leverage)``."""
 
     leverage: float
     market_rate: float = 0.0
-    equity: float | None = None
 
     def __post_init__(self):
         _require_leverage(self.leverage)
         if not math.isfinite(self.market_rate):
             raise ValueError("market_rate must be finite")
-        if self.equity is not None and not self.equity > 0.0:
-            raise ValueError("equity must be > 0")
-        if self.equity == math.inf:
-            raise ValueError("equity must be finite")
 
 
 def rroe(return_on_capital: float, leverage: float, market_rate: float) -> float:
@@ -68,7 +60,6 @@ def rroe(return_on_capital: float, leverage: float, market_rate: float) -> float
 
 def leveraged_discount_rate(
     scenario: GrowthScenario,
-    rotation_length: float,
     leverage: float,
     market_rate: float,
     *,
@@ -84,12 +75,13 @@ def leveraged_discount_rate(
     Raises:
         WipedOutEquityError: the terminal equity payoff is nonpositive
             (loan interest exceeds what the rotation produced), so no
-            break-even rate exists.
+            break-even rate exists; or it is within rounding of zero, so
+            the rate found fails its zero-value check to 1e-9.
         DegenerateCapitalError: a growth factor is beyond float range.
     """
     _require_leverage(leverage)
-    tau = rotation_length
-    avg = _cycle_average(scenario, tau, intervals)
+    tau = scenario.rotation_length
+    avg = _cycle_average(scenario, intervals)
     inner = 1.0 + leverage * (1.0 - _exp(-tau * (avg - market_rate)))
     if inner <= 0.0:
         raise WipedOutEquityError(
@@ -101,8 +93,9 @@ def leveraged_discount_rate(
         - leverage * _exp(market_rate * tau)
     ) * _exp(-rate * tau) - 1.0
     if abs(check) > 1e-9:
-        raise CapReturnError(
-            f"break-even rate failed its zero-value check (residual {check:.3e})"
+        raise WipedOutEquityError(
+            "leveraged terminal value is within rounding of zero; the break-even "
+            f"rate fails its zero-value check (residual {check:.3e})"
         )
     return rate
 

@@ -13,12 +13,10 @@ A scenario document is a JSON object with these keys:
   ``{"kind": "reversed", "inner": {...}, "horizon": ...}``.
 * ``investments`` — optional list of ``{"time": ..., "amount": ...}``
   with times strictly increasing, strictly inside ``(0, tau)``.
-* ``valuation`` — optional ``{"discount_rate": >0, "market_rate": ...,
-  "leverage": >=-1}``; the last two default to 0.
-* ``leverage`` — optional ``{"leverage": >=-1, "market_rate": ...,
-  "equity": >0}``; the market rate defaults to 0 and equity is
-  optional. When equity is given it must satisfy
-  ``K0 / equity == leverage + 1`` to 1e-9.
+* ``valuation`` — optional ``{"discount_rate": >0}``.
+* ``leverage`` — optional ``{"leverage": >=-1, "market_rate": ...}``;
+  the market rate defaults to 0. It is the one place for both: equity
+  is ``K0 / (1 + leverage)``, not an input.
 * ``estate`` — optional ``{"ages": {"kind": "uniform"}}`` or
   ``{"ages": {"kind": "tabulated", "knots": [[age, weight], ...]}}``.
 * ``quadrature_intervals`` — optional integer in ``[2, 2**20]``,
@@ -26,13 +24,16 @@ A scenario document is a JSON object with these keys:
 
 All rates are per year and all times in years. Every number must be
 finite; unknown keys anywhere are rejected. Parsing reports every
-violated invariant at once, each with its key path.
+violated invariant at once, each with its key path. Schema version 1
+once also took a ``market_rate`` and a ``leverage`` in ``valuation`` and
+an ``equity`` in ``leverage``, which could only restate or contradict
+the ``leverage`` section and ``K0``; they are now unknown keys.
 
 Each object below the top level is built through its dataclass, whose
 field names are its keys (plus ``kind``). The constructor is the one
 check of the object's own invariants; a value it rejects is reported at
 the object's key path, with the constructor's message. The parser checks
-what spans objects: ``tau``, event times, support and equity identity.
+what spans objects: ``tau``, event times and the age density's support.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ from .errors import DomainError, ScenarioParseError, ScenarioValidationError
 from .estate import AgeDensity, EstateSpec, TabulatedAgeDensity, UniformAgeDensity
 from .growth import GrowthScenario, InvestmentEvent
 from .irr import CashEvent, CashFlowSchedule
-from .leverage import LeverageSpec, _require_leverage
+from .leverage import LeverageSpec
 from .paths import ConstantPath, ReturnPath, ReversedPath, SinSquaredPath, TabulatedPath
 from .paths import _require_within
 from .quadrature import DEFAULT_INTERVALS
@@ -56,27 +57,19 @@ from .valuation import _require_discount
 
 SCHEMA_VERSION = 1
 
-#: Tolerance on the capital/equity/leverage identity K0/E == L + 1.
-LEVERAGE_IDENTITY_TOLERANCE = 1e-9
-
 #: Largest accepted ``quadrature_intervals``; it sizes every node array.
 MAX_INTERVALS = 2**20
 
 
 @dataclass(frozen=True)
 class ValuationSpec:
-    """Discount rate plus the market rate and leverage used by the
-    leveraged present-value forms."""
+    """Discount rate of the present values; the leveraged forms take
+    their market rate and leverage from the ``leverage`` section."""
 
     discount_rate: float
-    market_rate: float = 0.0
-    leverage: float = 0.0
 
     def __post_init__(self):
         _require_discount(self.discount_rate)
-        _require_leverage(self.leverage)
-        if not math.isfinite(self.market_rate):
-            raise ValueError("market_rate must be finite")
 
 
 @dataclass(frozen=True)
@@ -246,14 +239,6 @@ def parse_scenario(text: str) -> ScenarioDocument:
     investments = _parse_investments(raw.get("investments", []), check, tau)
     valuation = _optional(ValuationSpec, raw, "valuation", check)
     leverage = _optional(LeverageSpec, raw, "leverage", check)
-    if leverage is not None and leverage.equity is not None and k0 is not None:
-        if abs(k0 / leverage.equity - (leverage.leverage + 1.0)) >= LEVERAGE_IDENTITY_TOLERANCE:
-            check.fail(
-                "leverage.equity",
-                f"capital/equity must equal leverage + 1 "
-                f"(K0/equity = {k0 / leverage.equity:g}, "
-                f"leverage + 1 = {leverage.leverage + 1.0:g})",
-            )
     ages = _parse_ages(raw.get("estate"), check, tau)
 
     intervals = raw.get("quadrature_intervals", DEFAULT_INTERVALS)

@@ -9,8 +9,9 @@ loan and its compounded interest are repaid at the rotation end.
 
 Without intermediate investments every value here depends on the path
 only through its time-average rate over the rotation: each public
-function takes that one average and evaluates a closed form of
-``(K0, average rate, tau, d, u, L)``.
+function takes that one average over the scenario's own rotation and
+evaluates a closed form of ``(K0, average rate, tau, d, u, L)``. To value
+another rotation of the same path, pass ``with_rotation(scenario, tau)``.
 """
 
 from __future__ import annotations
@@ -54,16 +55,13 @@ def _leveraged_npv(
 
 
 def npv(
-    scenario: GrowthScenario,
-    rotation_length: float,
-    discount_rate: float,
-    *,
-    intervals: int = DEFAULT_INTERVALS,
+    scenario: GrowthScenario, discount_rate: float, *, intervals: int = DEFAULT_INTERVALS
 ) -> float:
     """Present value of all future rotations (currency).
 
-    With ``g = rotation_length * (avg_rate - discount_rate)`` this is
-    ``K(0) * (exp(g) - 1) / (1 - exp(-discount_rate * rotation_length))``.
+    With ``tau`` the scenario's rotation length and
+    ``g = tau * (avg_rate - discount_rate)`` this is
+    ``K(0) * (exp(g) - 1) / (1 - exp(-discount_rate * tau))``.
     Positive exactly when the average spot rate beats the discount rate.
 
     Raises:
@@ -73,13 +71,12 @@ def npv(
             float range.
     """
     _require_discount(discount_rate)
-    avg = _cycle_average(scenario, rotation_length, intervals)
-    return _npv(scenario.initial_capital, avg, rotation_length, discount_rate)
+    avg = _cycle_average(scenario, intervals)
+    return _npv(scenario.initial_capital, avg, scenario.rotation_length, discount_rate)
 
 
 def leveraged_npv(
     scenario: GrowthScenario,
-    rotation_length: float,
     discount_rate: float,
     market_rate: float,
     leverage: float,
@@ -99,15 +96,15 @@ def leveraged_npv(
     """
     _require_discount(discount_rate)
     _require_leverage(leverage)
-    avg = _cycle_average(scenario, rotation_length, intervals)
+    avg = _cycle_average(scenario, intervals)
     return _leveraged_npv(
-        scenario.initial_capital, avg, rotation_length, discount_rate, market_rate, leverage
+        scenario.initial_capital, avg, scenario.rotation_length,
+        discount_rate, market_rate, leverage,
     )
 
 
 def leverage_npv_ratio(
     scenario: GrowthScenario,
-    rotation_length: float,
     discount_rate: float,
     market_rate: float,
     leverage: float,
@@ -131,8 +128,8 @@ def leverage_npv_ratio(
     """
     _require_discount(discount_rate)
     _require_leverage(leverage)
-    tau = rotation_length
-    avg = _cycle_average(scenario, tau, intervals)
+    tau = scenario.rotation_length
+    avg = _cycle_average(scenario, intervals)
     k0 = scenario.initial_capital
     base = _npv(k0, avg, tau, discount_rate)
     growth_term = _exp(tau * avg)

@@ -66,7 +66,7 @@ def test_criterion_01_constant_path_collapse():
             worst = max(
                 worst,
                 abs(rroc(s) - rate),
-                abs(growth_cycle_irr(s, tau) - rate),
+                abs(growth_cycle_irr(s) - rate),
             )
     report(1, f"constant paths: RROC = IRR = rate (worst |err| {worst:.2e})",
            worst < 1e-9)
@@ -100,7 +100,7 @@ def test_criterion_02_profit_independent_capitalization_not():
 def test_criterion_03_cycle_structure_of_the_two_criteria():
     grid = np.linspace(CYCLE / 400, CYCLE, 400)
     rrocs = np.array([rroc(with_rotation(hump_scenario(), t)) for t in grid])
-    irrs = np.array([growth_cycle_irr(hump_scenario(t), t) for t in grid])
+    irrs = np.array([growth_cycle_irr(hump_scenario(t)) for t in grid])
 
     end_irr_ok = abs(irrs[-1] - MEAN) < 1e-6
     end_rroc_ok = rrocs[-1] < MEAN
@@ -142,7 +142,7 @@ def test_criterion_05_cash_flow_solver_consistency():
         (CashEvent(0.0, -1.0), CashEvent(tau, capital_at(s, tau)))
     )
     two_event_gap = abs(
-        general_irr(flows).principal_root - growth_cycle_irr(s, tau)
+        general_irr(flows).principal_root - growth_cycle_irr(s)
     )
 
     result = general_irr(
@@ -171,7 +171,7 @@ def test_criterion_06_leverage_ratio_is_one_plus_leverage():
     cross_gap = 0.0
     for lev in (-0.5, 0.0, 1.0, 3.0):
         ratios = [
-            leverage_npv_ratio(s, CYCLE, d, d, lev) for d in (0.03, 0.08)
+            leverage_npv_ratio(s, d, d, lev) for d in (0.03, 0.08)
         ]
         worst = max(worst, *(abs(r - (1.0 + lev)) for r in ratios))
         cross_gap = max(cross_gap, abs(ratios[0] - ratios[1]))
@@ -188,8 +188,8 @@ def test_criterion_07_break_even_rate_asymptotics_and_residuals():
     s = hump_scenario()
     avg = s.path.time_average_rate(CYCLE)
     limits_ok = (
-        leveraged_discount_rate(s, CYCLE, 0.0, 0.03) == pytest.approx(avg, abs=1e-12)
-        and leveraged_discount_rate(s, CYCLE, 2.5, avg) == pytest.approx(avg, abs=1e-12)
+        leveraged_discount_rate(s, 0.0, 0.03) == pytest.approx(avg, abs=1e-12)
+        and leveraged_discount_rate(s, 2.5, avg) == pytest.approx(avg, abs=1e-12)
     )
 
     rng = np.random.default_rng(7)
@@ -202,7 +202,7 @@ def test_criterion_07_break_even_rate_asymptotics_and_residuals():
         mean_rate = midpoint_integral(s.path.evaluate, 0.0, tau, n=100_000) / tau
         if 1.0 + lev * (1.0 - math.exp(-tau * (mean_rate - u))) <= 1e-6:
             continue
-        rate = leveraged_discount_rate(s, tau, lev, u)
+        rate = leveraged_discount_rate(with_rotation(s, tau), lev, u)
         terminal = (1.0 + lev) * math.exp(mean_rate * tau) - lev * math.exp(u * tau)
         worst = max(worst, abs(terminal * math.exp(-rate * tau) - 1.0))
         checked += 1
@@ -237,7 +237,7 @@ def test_criterion_09_value_optimum_moves_with_discount_rate():
     stars = []
     for d in (0.5 * MEAN, MEAN, 1.5 * MEAN):
         tau_star, _ = refine_argmax(
-            lambda t, d=d: npv(with_rotation(s, t), t, d), grid
+            lambda t, d=d: npv(with_rotation(s, t), d), grid
         )
         stars.append(tau_star)
     spread = max(stars) - min(stars)
@@ -253,7 +253,7 @@ def test_criterion_10_estate_return_differs_from_area_average():
     estate = EstateSpec(hump_scenario(), UniformAgeDensity())
     area = area_average_rate(estate)
     weighted = estate_rroc(estate)
-    irr_end = growth_cycle_irr(hump_scenario(), CYCLE)
+    irr_end = growth_cycle_irr(hump_scenario())
     report(
         10,
         f"estate: area-average {area:.4f} vs capital-weighted {weighted:.4f}, "

@@ -109,11 +109,11 @@ class TestSweep:
             tau = float(row[0])
             at_tau = with_rotation(base, tau)
             assert row[header.index("irr")] == format(
-                growth_cycle_irr(at_tau, tau), ".9g"
+                growth_cycle_irr(at_tau), ".9g"
             )
             assert row[header.index("rroc")] == format(rroc(at_tau), ".9g")
             assert row[header.index("npv_d0.03")] == format(
-                npv(at_tau, tau, 0.03), ".9g"
+                npv(at_tau, 0.03), ".9g"
             )
 
     def test_repeated_runs_are_byte_identical(self, hump_file, tmp_path):

@@ -40,7 +40,7 @@ class TestGrowthCycleIrr:
 
     def test_full_cycle_converges_to_mean_rate(self):
         s = GrowthScenario(1.0, CYCLE, SinSquaredPath(MEAN, SHAPE, CYCLE))
-        assert growth_cycle_irr(s, CYCLE) == pytest.approx(MEAN, abs=1e-6)
+        assert growth_cycle_irr(s) == pytest.approx(MEAN, abs=1e-6)
 
     def test_below_rroc_where_capital_weighting_helps(self):
         # Mid-cycle the low early rates are held at low capitalization,
@@ -48,7 +48,7 @@ class TestGrowthCycleIrr:
         s = with_rotation(
             GrowthScenario(1.0, CYCLE, SinSquaredPath(MEAN, SHAPE, CYCLE)), CYCLE / 2
         )
-        assert growth_cycle_irr(s, CYCLE / 2) < rroc(s)
+        assert growth_cycle_irr(s) < rroc(s)
 
     def test_investments_unsupported(self):
         s = GrowthScenario(
@@ -123,7 +123,7 @@ class TestGeneralIrr:
         s = GrowthScenario(1.5, tau, SinSquaredPath(MEAN, SHAPE, CYCLE))
         flows = schedule((0.0, -1.5), (tau, capital_at(s, tau)))
         assert general_irr(flows).principal_root == pytest.approx(
-            growth_cycle_irr(s, tau), abs=1e-6
+            growth_cycle_irr(s), abs=1e-6
         )
 
     def test_residuals_meet_tolerance(self):

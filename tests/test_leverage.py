@@ -1,7 +1,7 @@
 """Equity returns under leverage and the break-even discount rate."""
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 import pytest
@@ -70,8 +70,12 @@ def test_full_lending_is_exact_for_any_inputs(s, u):
 
 class TestLeverageSpec:
     def test_valid(self):
-        spec = LeverageSpec(leverage=1.0, market_rate=0.03, equity=0.5)
-        assert spec.equity == 0.5
+        spec = LeverageSpec(leverage=1.0, market_rate=0.03)
+        assert (spec.leverage, spec.market_rate) == (1.0, 0.03)
+
+    def test_equity_is_not_an_input(self):
+        # Equity is K0 / (1 + leverage); a separate value could only disagree.
+        assert [f.name for f in fields(LeverageSpec)] == ["leverage", "market_rate"]
 
     def test_invalid_leverage(self):
         with pytest.raises(InvalidLeverageError):
@@ -85,16 +89,12 @@ class TestLeverageSpec:
         with pytest.raises(InvalidLeverageError, match="leverage ratio must be finite"):
             LeverageSpec(leverage=math.inf, market_rate=0.03)
 
-    def test_infinite_equity_rejected(self):
-        with pytest.raises(ValueError, match="equity must be finite"):
-            LeverageSpec(leverage=1.0, market_rate=0.03, equity=math.inf)
-
     def test_infinite_leverage_rejected_by_the_closed_forms(self):
         s = GrowthScenario(1.0, 10.0, ConstantPath(0.05))
         with pytest.raises(InvalidLeverageError, match="leverage ratio must be finite"):
-            leveraged_npv(s, 10.0, 0.03, 0.02, math.inf)
+            leveraged_npv(s, 0.03, 0.02, math.inf)
         with pytest.raises(InvalidLeverageError, match="leverage ratio must be finite"):
-            leveraged_discount_rate(s, 10.0, math.inf, 0.02)
+            leveraged_discount_rate(s, math.inf, 0.02)
 
     def test_infinite_leverage_rejected_by_the_parser(self):
         doc = '{"K0": 1, "tau": 10, "path": {"kind": "constant", "rate": 0.05}, '
@@ -106,21 +106,17 @@ class TestLeverageSpec:
         with pytest.raises(ValueError, match="finite"):
             LeverageSpec(leverage=1.0, market_rate=math.nan)
 
-    def test_invalid_equity(self):
-        with pytest.raises(ValueError):
-            LeverageSpec(leverage=1.0, market_rate=0.03, equity=0.0)
-
 
 class TestBreakEvenRate:
     def test_unleveraged_is_the_average_rate(self):
         s = GrowthScenario(1.0, 10.0, ConstantPath(0.05))
         avg = s.path.time_average_rate(10.0)
-        assert leveraged_discount_rate(s, 10.0, 0.0, 0.03) == avg
+        assert leveraged_discount_rate(s, 0.0, 0.03) == avg
 
     def test_market_rate_at_the_average_changes_nothing(self):
         s = GrowthScenario(1.0, 10.0, ConstantPath(0.05))
         avg = s.path.time_average_rate(10.0)
-        assert leveraged_discount_rate(s, 10.0, 3.0, avg) == avg
+        assert leveraged_discount_rate(s, 3.0, avg) == avg
 
     def test_against_bisection_oracle(self):
         s = GrowthScenario(1.0, 10.0, ConstantPath(0.05))
@@ -131,7 +127,7 @@ class TestBreakEvenRate:
             return terminal * math.exp(-rate * tau) - 1.0
 
         oracle = bisect_root(initial_value_gap, 0.0, 1.0)
-        value = leveraged_discount_rate(s, tau, lev, u)
+        value = leveraged_discount_rate(s, lev, u)
         assert value == pytest.approx(oracle, abs=1e-12)
         assert value == pytest.approx(0.0666589493, abs=1e-9)
 
@@ -146,7 +142,7 @@ class TestBreakEvenRate:
             avg = s.path.time_average_rate(tau)
             if 1.0 + lev * (1.0 - math.exp(-tau * (avg - u))) <= 0.0:
                 continue
-            rate = leveraged_discount_rate(s, tau, lev, u)
+            rate = leveraged_discount_rate(with_rotation(s, tau), lev, u)
             terminal = (1.0 + lev) * math.exp(avg * tau) - lev * math.exp(u * tau)
             assert abs(terminal * math.exp(-rate * tau) - 1.0) < 1e-9
             checked += 1
@@ -154,14 +150,30 @@ class TestBreakEvenRate:
     def test_wiped_out_equity(self):
         s = GrowthScenario(1.0, 100.0, ConstantPath(0.05))
         with pytest.raises(WipedOutEquityError):
-            leveraged_discount_rate(s, 100.0, 5.0, 0.10)
+            leveraged_discount_rate(s, 5.0, 0.10)
 
     def test_investments_unsupported(self):
         s = GrowthScenario(
             1.0, 10.0, ConstantPath(0.05), (InvestmentEvent(5.0, 0.5),)
         )
         with pytest.raises(UnsupportedScheduleError, match="investment-free"):
-            leveraged_discount_rate(s, 10.0, 1.0, 0.03)
+            leveraged_discount_rate(s, 1.0, 0.03)
+
+    @pytest.mark.parametrize(
+        "u, residual",
+        [(0.11931471305599442, "2.061e-09"), (0.11931471805099453, "3.230e-07")],
+    )
+    def test_payoff_within_rounding_of_zero_is_wiped_out(self, u, residual):
+        # At L = 1 these market rates leave a terminal equity payoff of
+        # 1e-7 and 1e-10 of the unleveraged terminal capital, within
+        # rounding of zero: the rate found fails its zero-value check.
+        s = GrowthScenario(1.0, 10.0, ConstantPath(0.05))
+        with pytest.raises(WipedOutEquityError, match=f"within rounding of zero.*{residual}"):
+            leveraged_discount_rate(s, 1.0, u)
+
+    def test_small_payoff_above_rounding_keeps_its_rate(self):
+        s = GrowthScenario(1.0, 10.0, ConstantPath(0.05))  # a payoff of 1e-6, as above
+        assert leveraged_discount_rate(s, 1.0, 0.11931466805598202) == -1.3315510557824495
 
 
 class TestRroeArgmax:
@@ -301,7 +313,7 @@ class TestBreakEvenConflictsWithEquityReturn:
 
         def omega_argmax(u):
             tau_star, _ = refine_argmax(
-                lambda tau: leveraged_discount_rate(s, tau, 1.0, u), grid
+                lambda tau: leveraged_discount_rate(with_rotation(s, tau), 1.0, u), grid
             )
             return tau_star
 

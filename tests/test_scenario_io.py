@@ -2,7 +2,7 @@
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import pytest
 from hypothesis import given, settings
@@ -12,7 +12,6 @@ from capreturn import (
     ConstantPath,
     GrowthScenario,
     InvalidDiscountError,
-    InvalidLeverageError,
     InvestmentEvent,
     LeverageSpec,
     NoRootError,
@@ -60,8 +59,8 @@ class TestParse:
                     "full_cycle": 100.0,
                 },
                 "investments": [{"time": 5.0, "amount": 0.5}],
-                "valuation": {"discount_rate": 0.03, "market_rate": 0.03, "leverage": 1.0},
-                "leverage": {"leverage": 1.0, "market_rate": 0.03, "equity": 1.0},
+                "valuation": {"discount_rate": 0.03},
+                "leverage": {"leverage": 1.0, "market_rate": 0.03},
                 "estate": {"ages": {"kind": "uniform"}},
                 "quadrature_intervals": 512,
             }
@@ -69,8 +68,8 @@ class TestParse:
         doc = parse_scenario(text)
         assert doc.path == SinSquaredPath(0.05, 0.5, 100.0)
         assert doc.investments == (InvestmentEvent(5.0, 0.5),)
-        assert doc.valuation == ValuationSpec(0.03, 0.03, 1.0)
-        assert doc.leverage == LeverageSpec(1.0, 0.03, 1.0)
+        assert doc.valuation == ValuationSpec(0.03)
+        assert doc.leverage == LeverageSpec(1.0, 0.03)
         assert doc.ages == UniformAgeDensity()
         assert doc.quadrature_intervals == 512
         assert doc.estate() is not None
@@ -81,31 +80,22 @@ class TestParse:
             parse_scenario(bad)
         assert any(path == "tau" for path, _ in err.value.violations)
 
-    def test_inconsistent_equity_cites_the_identity(self):
-        text = json.dumps(
-            {
-                "K0": 1.0,
-                "tau": 10.0,
-                "path": {"kind": "constant", "rate": 0.05},
-                "leverage": {"leverage": 1.0, "market_rate": 0.03, "equity": 0.9},
-            }
-        )
+    @pytest.mark.parametrize(
+        "section, key",
+        [
+            ({"valuation": {"discount_rate": 0.03, "market_rate": 0.03}}, "valuation.market_rate"),
+            ({"valuation": {"discount_rate": 0.03, "leverage": 1.0}}, "valuation.leverage"),
+            ({"leverage": {"leverage": 1.0, "equity": 0.5}}, "leverage.equity"),
+        ],
+        ids=["valuation.market_rate", "valuation.leverage", "leverage.equity"],
+    )
+    def test_removed_inputs_are_unknown_keys(self, section, key):
+        # The leverage section is the one source of L and u, and equity is
+        # K0 / (1 + L): a second source could only disagree.
+        doc = {"K0": 1.0, "tau": 10.0, "path": {"kind": "constant", "rate": 0.05}}
         with pytest.raises(ScenarioValidationError) as err:
-            parse_scenario(text)
-        (path, message), = err.value.violations
-        assert path == "leverage.equity"
-        assert "leverage + 1" in message
-
-    def test_consistent_equity_accepted(self):
-        text = json.dumps(
-            {
-                "K0": 1.0,
-                "tau": 10.0,
-                "path": {"kind": "constant", "rate": 0.05},
-                "leverage": {"leverage": 1.0, "market_rate": 0.03, "equity": 0.5},
-            }
-        )
-        assert parse_scenario(text).leverage.equity == 0.5
+            parse_scenario(json.dumps({**doc, **section}))
+        assert err.value.violations == [(key, "unknown key")]
 
     def test_all_violations_reported_at_once(self):
         text = json.dumps(
@@ -218,10 +208,7 @@ class TestParse:
             ({"path": {"kind": "tabulated", "knots": [[0, 0.01], [0, 0.02]]}},
              ("path", "knot times must be strictly increasing")),
             ({"valuation": {"discount_rate": 0}}, ("valuation", "discount rate must be > 0")),
-            ({"valuation": {"discount_rate": 0.03, "leverage": -2}},
-             ("valuation", "leverage ratio cannot be below -1")),
             ({"leverage": {"leverage": -2}}, ("leverage", "leverage ratio cannot be below -1")),
-            ({"leverage": {"leverage": 1, "equity": 0}}, ("leverage", "equity must be > 0")),
             ({"estate": {"ages": {"kind": "tabulated", "knots": [[0, 1], [5, -1]]}}},
              ("estate.ages", "density weights must be nonnegative")),
             ({"estate": {"ages": {"kind": "tabulated", "knots": [[0, 1e308], [10, 1e308]]}}},
@@ -250,7 +237,7 @@ class TestParse:
         sections = ', "leverage": {"leverage": 0.5}, "valuation": {"discount_rate": 0.03}}'
         doc = parse_scenario(MINIMAL[:-1] + sections)
         assert doc.leverage == LeverageSpec(0.5, 0.0)
-        assert doc.valuation == ValuationSpec(0.03, 0.0, 0.0)
+        assert doc.valuation == ValuationSpec(0.03)
 
 
 class TestValuationSpec:
@@ -258,13 +245,8 @@ class TestValuationSpec:
         with pytest.raises(InvalidDiscountError):
             ValuationSpec(0.0)
 
-    def test_leverage_cannot_be_below_minus_one(self):
-        with pytest.raises(InvalidLeverageError):
-            ValuationSpec(0.03, leverage=-2)
-
-    def test_non_finite_market_rate_rejected(self):
-        with pytest.raises(ValueError, match="finite"):
-            ValuationSpec(0.03, market_rate=math.nan)
+    def test_holds_the_discount_rate_only(self):
+        assert [f.name for f in fields(ValuationSpec)] == ["discount_rate"]
 
 
 def sample_documents():
@@ -283,13 +265,13 @@ def sample_documents():
         ),
         ScenarioDocument(1.0, 60.0, ReversedPath(hump, 60.0)),
         ScenarioDocument(
-            1.0, 10.0, ConstantPath(0.05), valuation=ValuationSpec(0.03, 0.03, 1.0)
+            1.0, 10.0, ConstantPath(0.05), valuation=ValuationSpec(0.05)
         ),
         ScenarioDocument(
             1.0,
             10.0,
             ConstantPath(0.05),
-            leverage=LeverageSpec(1.0, 0.03, 0.5),
+            leverage=LeverageSpec(1.0, 0.03),
         ),
         ScenarioDocument(1.0, 100.0, hump, ages=UniformAgeDensity()),
         ScenarioDocument(
@@ -339,7 +321,7 @@ PATH_KINDS = {
     "reversed": ("inner", "horizon"),
 }
 KEYS = sorted({"kind", "ages", "time", "amount", "discount_rate", "market_rate",
-               "leverage", "equity", *(k for keys in PATH_KINDS.values() for k in keys)})
+               "leverage", *(k for keys in PATH_KINDS.values() for k in keys)})
 
 
 def _usually(good, other):
@@ -394,8 +376,8 @@ DOCUMENTS = st.fixed_dictionaries(
     {"K0": _mostly(NUMBERS), "tau": _mostly(NUMBERS), "path": PATHS},
     optional={
         "investments": _mostly(st.lists(_mostly(_object(("time", "amount"))), max_size=3)),
-        "valuation": _mostly(_object(("discount_rate", "market_rate", "leverage"))),
-        "leverage": _mostly(_object(("leverage", "market_rate", "equity"))),
+        "valuation": _mostly(_object(("discount_rate",))),
+        "leverage": _mostly(_object(("leverage", "market_rate"))),
         "estate": _mostly(_object(("ages",))),
         "quadrature_intervals": _mostly(st.integers(0, 2**20 + 1)),
         "schema_version": _mostly(st.just(1)),
