@@ -63,7 +63,6 @@ from .leverage import (
     rroe,
     rroe_argmax,
 )
-from .optimize import golden_section_max, refine_argmax
 from .paths import (
     ConstantPath,
     ReturnPath,
@@ -127,7 +126,6 @@ __all__ = [
     "expected_profit_rate",
     "expected_values",
     "general_irr",
-    "golden_section_max",
     "growth_cycle_irr",
     "leverage_npv_ratio",
     "leveraged_discount_rate",
@@ -135,7 +133,6 @@ __all__ = [
     "npv",
     "parse_scenario",
     "read_cash_flow_csv",
-    "refine_argmax",
     "rroc",
     "rroe",
     "rroe_argmax",

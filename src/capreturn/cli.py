@@ -25,11 +25,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import CapReturnError
+from .errors import CapReturnError, ScenarioParseError
 from .growth import rroc, with_rotation
-from .irr import general_irr, growth_cycle_irr
+from .irr import _irr_argmax, general_irr, growth_cycle_irr
 from .leverage import _rroc_optimum, leveraged_discount_rate, rroe, rroe_argmax
-from .optimize import refine_argmax
 from .scenario_io import (
     MAX_INTERVALS,
     ScenarioDocument,
@@ -38,7 +37,7 @@ from .scenario_io import (
     read_cash_flow_csv,
     write_table,
 )
-from .valuation import npv
+from .valuation import _npv_argmax, npv
 
 _METRICS = ("irr", "rroc", "npv", "rroe", "omega")
 
@@ -111,8 +110,12 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_document(path: str) -> ScenarioDocument:
-    return parse_scenario(Path(path).read_text(encoding="utf-8"))
+def _read_text(path: str) -> str:
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        message = f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})"
+        raise ScenarioParseError(message) from None
 
 
 def _tau_grid(args, doc: ScenarioDocument) -> np.ndarray:
@@ -177,7 +180,7 @@ def _provenance(doc: ScenarioDocument, settings: dict) -> str:
 
 
 def _cmd_sweep(args) -> int:
-    doc = _load_document(args.scenario)
+    doc = parse_scenario(_read_text(args.scenario))
     metrics = [m.strip() for m in args.metrics.split(",") if m.strip()]
     for metric in metrics:
         if metric not in _METRICS:
@@ -229,7 +232,7 @@ def _competing_report(doc: ScenarioDocument, tau: float, s: float | None, args) 
 
 
 def _cmd_optimize(args) -> int:
-    doc = _load_document(args.scenario)
+    doc = parse_scenario(_read_text(args.scenario))
     intervals = doc.quadrature_intervals
     grid = _tau_grid(args, doc)
     base = doc.scenario()
@@ -241,15 +244,10 @@ def _cmd_optimize(args) -> int:
             optimum = _rroc_optimum(base, grid, intervals)
             yield "objective rroc", optimum, optimum[1]
         elif args.objective == "irr":
-            yield "objective irr", refine_argmax(
-                lambda tau: growth_cycle_irr(with_rotation(base, tau), intervals=intervals),
-                grid,
-            ), None
+            yield "objective irr", _irr_argmax(base, grid, intervals), None
         elif args.objective == "npv":
             for d in _rates(args.d, "--d", "objective npv"):
-                yield f"objective npv, d={d:g}", refine_argmax(
-                    lambda tau: npv(with_rotation(base, tau), d, intervals=intervals), grid
-                ), None
+                yield f"objective npv, d={d:g}", _npv_argmax(base, d, grid, intervals), None
         elif args.objective == "rroe":
             # One capital-return search serves every market rate: rroe_argmax
             # checks --L, and its remembered search gives rroc at tau*.
@@ -267,7 +265,7 @@ def _cmd_optimize(args) -> int:
 
 
 def _cmd_irr(args) -> int:
-    schedule = read_cash_flow_csv(Path(args.cashflows).read_text(encoding="utf-8"))
+    schedule = read_cash_flow_csv(_read_text(args.cashflows))
     result = general_irr(schedule)
     print(f"base step   : {result.base_step:.9g} years")
     print(f"poly degree : {result.degree}")
@@ -289,7 +287,7 @@ def main(argv: list[str] | None = None) -> int:
         # that does not converge); numpy's warnings would only precede it.
         with np.errstate(over="ignore", invalid="ignore"):
             return handlers[args.command](args)
-    except (CapReturnError, OSError, ValueError) as exc:
+    except (CapReturnError, OSError) as exc:
         print(f"capreturn {args.command}: error: {exc}", file=sys.stderr)
         return 1
 

@@ -55,7 +55,7 @@ class WipedOutEquityError(CapReturnError, ArithmeticError):
 
 
 class ScenarioParseError(CapReturnError, ValueError):
-    """Scenario text is not syntactically valid."""
+    """Scenario or cash-flow text is not UTF-8, valid JSON or CSV, or valid cash flows."""
 
 
 class ScenarioValidationError(CapReturnError, ValueError):

@@ -99,12 +99,27 @@ def _cycle_average(scenario: GrowthScenario, intervals: int) -> float:
     Raises:
         UnsupportedScheduleError: if the scenario has investment events.
     """
+    _require_investment_free(scenario)
+    return scenario.path.time_average_rate(scenario.rotation_length, intervals=intervals)
+
+
+def _cycle_averages(scenario: GrowthScenario, cuts, intervals: int):
+    """The nodes after time 0 of one Simpson pass over the rotation, cut at
+    path kinks and ``cuts``, and ``_cycle_average`` of the rotation ending
+    at each. No capital is built, so nothing overflows."""
+    _require_investment_free(scenario)
+    all_cuts = np.concatenate((scenario.path._kinks(), cuts))
+    times, steps = _grid(0.0, scenario.rotation_length, all_cuts, intervals)
+    returns = cumulative_simpson_nodes(scenario.path._clipped_rates(times), steps)
+    return times[1:], returns[1:] / times[1:]
+
+
+def _require_investment_free(scenario: GrowthScenario) -> None:
     if scenario.investments:
         raise UnsupportedScheduleError(
             "closed forms (IRR, present values, break-even rate) need an "
             "investment-free scenario"
         )
-    return scenario.path.time_average_rate(scenario.rotation_length, intervals=intervals)
 
 
 def with_rotation(scenario: GrowthScenario, rotation_length: float) -> GrowthScenario:

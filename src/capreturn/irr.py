@@ -24,7 +24,8 @@ from .errors import (
     NoRootError,
     RootConvergenceError,
 )
-from .growth import GrowthScenario, _cycle_average
+from .growth import GrowthScenario, _cycle_average, _cycle_averages
+from .optimize import _first_order_argmax
 from .quadrature import DEFAULT_INTERVALS
 
 #: Event times must sit on the common grid within this many years.
@@ -117,6 +118,18 @@ def growth_cycle_irr(
             use :func:`general_irr` instead).
     """
     return _cycle_average(scenario, intervals)
+
+
+def _irr_argmax(scenario: GrowthScenario, rotation_grid, intervals: int) -> tuple[float, float]:
+    """``optimize._first_order_argmax`` of the IRR, the time-average rate:
+    its slope ``(r(tau) - irr(tau)) / tau`` vanishes where the spot rate
+    falls to it."""
+    return _first_order_argmax(
+        scenario,
+        rotation_grid,
+        lambda longest, grid: _cycle_averages(longest, grid, intervals),
+        lambda rotation: (growth_cycle_irr(rotation, intervals=intervals),) * 2,
+    )
 
 
 def _common_step(times: list[float]) -> float:

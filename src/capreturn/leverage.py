@@ -17,8 +17,8 @@ from collections.abc import Sequence
 import numpy as np
 
 from .errors import InvalidLeverageError, WipedOutEquityError
-from .growth import GrowthScenario, _cycle_average, _exp, _segments, rroc, with_rotation
-from .optimize import _bracketed_root
+from .growth import GrowthScenario, _cycle_average, _exp, _segments, rroc
+from .optimize import _first_order_argmax
 from .quadrature import DEFAULT_INTERVALS, cumulative_simpson_nodes
 
 
@@ -104,23 +104,13 @@ def leveraged_discount_rate(
 def _rroc_argmax(
     scenario: GrowthScenario, rotation_grid: tuple[float, ...], intervals: int
 ) -> tuple[float, float]:
-    """Rotation length maximizing the capital return between the
-    shortest and the longest rotation of the grid, and the capital
-    return there.
-
-    One Simpson pass over the longest rotation, cut at every grid point,
-    gives the whole capital-return curve: the running integrals of
-    ``K * r`` and of ``K`` at a node are those of the rotation ending
-    there, since a shorter rotation only drops the events at or after
-    its end. The best node, the shortest of equals, is bracketed by its
-    nearest distinct neighbours. As
-    ``d rroc / d tau = K(tau) / C(tau) * (r(tau) - rroc(tau))``, with
-    ``C`` the integral of ``K``, the maximum is where the spot rate falls
-    to the capital return; that root is solved for, with every
-    ``rroc(tau)`` evaluated on its own rotation. Without a sign change in
-    the bracket (a maximum at an end of the range, a flat path) the end
-    with the larger capital return wins. The returned value is
-    ``rroc(with_rotation(scenario, tau))``.
+    """``optimize._first_order_argmax`` of the capital return, whose
+    threshold is the capital return itself:
+    ``d rroc / d tau = K(tau) / C(tau) * (r(tau) - rroc(tau))``, with ``C``
+    the integral of capital ``K``. The running integrals of ``K * r`` and
+    ``K`` at a node of the longest rotation are those of the rotation
+    ending there, since a shorter rotation only drops the events at or
+    after its end. A constant path is flat: the shortest rotation wins.
 
     The one entry remembers the latest search, so the equity-return
     maximizers of one scenario at several market rates or leverages
@@ -130,34 +120,15 @@ def _rroc_argmax(
         ValueError: empty grid, or a grid point that is not positive.
         DegenerateCapitalError: from the pass over the longest rotation.
     """
-    grid = np.sort(rotation_grid)  # NaN last
-    if not grid.size:
-        raise ValueError("grid must not be empty")
-    first, last = float(grid[0]), float(grid[-1])
-    if not first > 0.0:
-        raise ValueError("rotation lengths must be > 0")
-    times, steps, rates, capital = _segments(with_rotation(scenario, last), grid, intervals)
-    inside = times >= first
-    taus = times[inside]
-    curve = (
-        cumulative_simpson_nodes(capital * rates, steps)[inside]
-        / cumulative_simpson_nodes(capital, steps)[inside]
+
+    def curve(longest: GrowthScenario, grid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        times, steps, rates, capital = _segments(longest, grid, intervals)
+        profit = cumulative_simpson_nodes(capital * rates, steps)
+        return times, profit / cumulative_simpson_nodes(capital, steps)
+
+    return _first_order_argmax(
+        scenario, rotation_grid, curve, lambda s: (rroc(s, intervals=intervals),) * 2
     )
-    best = taus[np.argmax(curve)]  # nodes ascend, so ties go to the shorter
-    below, above = taus[taus < best], taus[taus > best]
-    lo = float(below[-1]) if below.size else float(best)
-    hi = float(above[0]) if above.size else float(best)
-
-    values = {}
-
-    def rate_gap(tau: float) -> float:
-        if tau not in values:
-            values[tau] = rroc(with_rotation(scenario, tau), intervals=intervals)
-        return scenario.path.evaluate(tau) - values[tau]
-
-    root = _bracketed_root(rate_gap, lo, hi, tol=1e-9 * max(1.0, hi))
-    tau = root if root is not None else max((lo, hi), key=lambda t: (values[t], -t))
-    return tau, values[tau]
 
 
 def _rroc_optimum(
@@ -186,16 +157,12 @@ def rroe_argmax(
 
     The equity return ``(1 + L) * rroc - L * u`` is a positive affine
     transform of the capital return whenever leverage exceeds -1, so its
-    maximizer is the capital return's own: the rotation where the spot
-    rate falls to the capital return, ``r(tau*) = rroc(tau*)``. One pass
-    over the longest rotation gives the capital return at every node;
-    the best node brackets that root. The grid bounds the search range,
-    it does not limit the candidates. The search is made once per
-    scenario, grid and interval count, and the latest call shares it
-    with the next: the result is exactly the same for every market rate
-    and every leverage above -1. A scenario that cannot be hashed (a
-    path of a non-frozen dataclass, say) is searched afresh on every
-    call.
+    maximizer is the capital return's own, ``r(tau*) = rroc(tau*)``, the
+    same for every market rate and leverage. The grid bounds the search
+    range, not the candidates. A flat capital return (a constant path)
+    gives the shortest rotation of the grid. The latest search is
+    remembered, unless the scenario cannot be hashed (a path of a
+    non-frozen dataclass, say).
 
     Raises:
         InvalidLeverageError: leverage <= -1, NaN or infinite (at

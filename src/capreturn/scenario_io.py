@@ -45,7 +45,7 @@ import math
 from dataclasses import MISSING, dataclass, fields
 from collections.abc import Sequence
 
-from .errors import DomainError, ScenarioParseError, ScenarioValidationError
+from .errors import DomainError, NoRootError, ScenarioParseError, ScenarioValidationError
 from .estate import AgeDensity, EstateSpec, TabulatedAgeDensity, UniformAgeDensity
 from .growth import GrowthScenario, InvestmentEvent
 from .irr import CashEvent, CashFlowSchedule
@@ -393,9 +393,19 @@ def read_cash_flow_csv(text: str) -> CashFlowSchedule:
     """Cash-flow schedule from CSV rows of ``time,amount``.
 
     A leading header row is skipped when its first cell is not numeric.
+
+    Raises:
+        ScenarioParseError: malformed CSV, a row that cannot be read (the
+            message names it), or a schedule that breaks
+            :class:`CashFlowSchedule`'s rules.
+        NoRootError: the amounts have no sign change.
     """
+    try:
+        rows = list(csv.reader(io.StringIO(text)))
+    except csv.Error as exc:
+        raise ScenarioParseError(f"malformed CSV: {exc}") from None
     events = []
-    for i, row in enumerate(csv.reader(io.StringIO(text))):
+    for i, row in enumerate(rows):
         if not row or all(not cell.strip() for cell in row):
             continue
         try:
@@ -403,11 +413,16 @@ def read_cash_flow_csv(text: str) -> CashFlowSchedule:
         except ValueError:
             if i == 0:
                 continue  # header row
-            raise ValueError(f"row {i + 1}: time {row[0]!r} is not numeric")
+            raise ScenarioParseError(f"row {i + 1}: time {row[0]!r} is not numeric")
         if len(row) < 2:
-            raise ValueError(f"row {i + 1}: expected time,amount")
+            raise ScenarioParseError(f"row {i + 1}: expected time,amount")
         try:
             events.append(CashEvent(time=t, amount=float(row[1])))
         except ValueError as exc:
-            raise ValueError(f"row {i + 1}: {exc}") from None
-    return CashFlowSchedule(events=tuple(events))
+            raise ScenarioParseError(f"row {i + 1}: {exc}") from None
+    try:
+        return CashFlowSchedule(events=tuple(events))
+    except NoRootError:  # already typed, and not a reading error
+        raise
+    except ValueError as exc:
+        raise ScenarioParseError(str(exc)) from None

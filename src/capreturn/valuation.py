@@ -18,9 +18,12 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from .errors import DegenerateCapitalError, IndeterminateRatioError, InvalidDiscountError
-from .growth import GrowthScenario, _cycle_average, _exp
+from .growth import GrowthScenario, _cycle_average, _cycle_averages, _exp
 from .leverage import _require_leverage
+from .optimize import _first_order_argmax
 from .quadrature import DEFAULT_INTERVALS
 
 
@@ -73,6 +76,28 @@ def npv(
     _require_discount(discount_rate)
     avg = _cycle_average(scenario, intervals)
     return _npv(scenario.initial_capital, avg, scenario.rotation_length, discount_rate)
+
+
+def _npv_argmax(
+    scenario: GrowthScenario, discount_rate: float, rotation_grid, intervals: int
+) -> tuple[float, float]:
+    """``optimize._first_order_argmax`` of the present value ``N``, which
+    solves ``N * (1 - exp(-d*tau)) = K0 * (exp(R - d*tau) - 1)`` with
+    ``R = tau * avg`` the cumulative return. Its slope has the sign of
+    ``r(tau) - d * (1 - exp(-R)) / (1 - exp(-d*tau))``: the Faustmann
+    rotation, which moves with ``d``."""
+    _require_discount(discount_rate)
+
+    def curve(longest: GrowthScenario, grid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        times, avg = _cycle_averages(longest, grid, intervals)
+        return times, np.expm1(times * (avg - discount_rate)) / -np.expm1(-discount_rate * times)
+
+    def objective(rotation: GrowthScenario) -> tuple[float, float]:
+        avg, tau = _cycle_average(rotation, intervals), rotation.rotation_length
+        threshold = discount_rate * (1.0 - _exp(-tau * avg)) / -math.expm1(-discount_rate * tau)
+        return _npv(rotation.initial_capital, avg, tau, discount_rate), threshold
+
+    return _first_order_argmax(scenario, rotation_grid, curve, objective)
 
 
 def leveraged_npv(

@@ -3,11 +3,14 @@
 Everything here deliberately avoids the library's own quadrature and
 root-finding: integrals use fine-grid midpoint sums, capital
 trajectories use explicit exponential stepping, present values use
-explicit rotation-by-rotation discounting, and roots come from
-sign scans plus bisection.
+explicit rotation-by-rotation discounting, roots come from sign scans
+plus bisection, and maxima from a grid scan refined by golden section.
 """
 
 from __future__ import annotations
+
+import math
+from collections.abc import Callable, Sequence
 
 import numpy as np
 
@@ -103,3 +106,65 @@ def real_roots_by_scan(f, lo: float, hi: float, n: int = 20_000) -> list[float]:
     for i in np.nonzero(np.sign(ys[:-1]) * np.sign(ys[1:]) < 0)[0]:
         roots.append(bisect_root(lambda x: float(f(np.asarray(x))), float(xs[i]), float(xs[i + 1])))
     return roots
+
+
+_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+_INV_PHI_SQ = (3.0 - math.sqrt(5.0)) / 2.0
+
+
+def golden_section_max(
+    f: Callable[[float], float], a: float, b: float, tol: float
+) -> float:
+    """Argmax of a unimodal function on ``[a, b]`` to within ``tol``.
+
+    Exact ties move the right bound, so the result leans toward the
+    smaller argument.
+    """
+    a, b = min(a, b), max(a, b)
+    width = b - a
+    if width <= tol:
+        return (a + b) / 2.0
+    steps = int(math.ceil(math.log(tol / width) / math.log(_INV_PHI)))
+    c = a + _INV_PHI_SQ * width
+    d = a + _INV_PHI * width
+    yc, yd = f(c), f(d)
+    for _ in range(max(steps - 1, 0)):
+        if yc >= yd:
+            b, d, yd = d, c, yc
+            width *= _INV_PHI
+            c = a + _INV_PHI_SQ * width
+            yc = f(c)
+        else:
+            a, c, yc = c, d, yd
+            width *= _INV_PHI
+            d = a + _INV_PHI * width
+            yd = f(d)
+    return (a + d) / 2.0 if yc >= yd else (c + b) / 2.0
+
+
+def refine_argmax(
+    f: Callable[[float], float], grid: Sequence[float]
+) -> tuple[float, float]:
+    """Best argument over a grid, refined between its neighbors.
+
+    Scans the grid, brackets the best point with its neighbors, and
+    sharpens by golden-section search. Returns ``(argmax, value)``;
+    grid ties resolve to the smallest argument.
+
+    Raises:
+        ValueError: if the grid is empty.
+    """
+    pts = list(grid)
+    if not pts:
+        raise ValueError("grid must not be empty")
+    values = [f(x) for x in pts]
+    best = max(range(len(pts)), key=lambda i: (values[i], -pts[i]))
+    if len(pts) == 1:
+        return pts[0], values[0]
+    lo = pts[max(best - 1, 0)]
+    hi = pts[min(best + 1, len(pts) - 1)]
+    x = golden_section_max(f, lo, hi, tol=1e-9 * max(1.0, abs(lo), abs(hi)))
+    y = f(x)
+    if y > values[best]:
+        return x, y
+    return pts[best], values[best]

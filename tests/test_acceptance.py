@@ -32,14 +32,13 @@ from capreturn import (
     leveraged_discount_rate,
     npv,
     parse_scenario,
-    refine_argmax,
     rroc,
     rroe_argmax,
     serialize_scenario,
     with_rotation,
 )
 from capreturn.cli import main as cli_main
-from oracles import midpoint_integral
+from oracles import midpoint_integral, refine_argmax
 
 MEAN, SHAPE, CYCLE = 0.05, 0.5, 100.0
 

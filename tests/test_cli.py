@@ -9,12 +9,14 @@ import pytest
 
 from capreturn import (
     GrowthScenario,
+    ReturnPath,
     SinSquaredPath,
     growth_cycle_irr,
     npv,
     rroc,
     with_rotation,
 )
+from capreturn import cli
 from capreturn.cli import main
 
 MEAN, SHAPE, CYCLE = 0.05, 0.5, 100.0
@@ -36,6 +38,16 @@ CONSTANT_DOC = {
     "path": {"kind": "constant", "rate": 0.05},
 }
 
+EVENTS_DOC = {
+    "K0": 1.0,
+    "tau": 10.0,
+    "path": {"kind": "tabulated", "knots": [[0.0, 0.01], [10.0, 0.09]]},
+    "investments": [{"time": 2.0, "amount": 0.5}],
+}
+
+# exp(100 * 8) is beyond float range: capital and present values overflow.
+FAST_DOC = {"K0": 1, "tau": 100, "path": {"kind": "constant", "rate": 8.0}}
+
 
 @pytest.fixture
 def hump_file(tmp_path):
@@ -48,6 +60,20 @@ def hump_file(tmp_path):
 def constant_file(tmp_path):
     p = tmp_path / "constant.json"
     p.write_text(json.dumps(CONSTANT_DOC))
+    return str(p)
+
+
+@pytest.fixture
+def events_file(tmp_path):
+    p = tmp_path / "events.json"
+    p.write_text(json.dumps(EVENTS_DOC))
+    return str(p)
+
+
+@pytest.fixture
+def fast_file(tmp_path):
+    p = tmp_path / "fast.json"
+    p.write_text(json.dumps(FAST_DOC))
     return str(p)
 
 
@@ -160,18 +186,14 @@ class TestSweep:
         assert main(["sweep", "--scenario", str(bad), "--metrics", "rroc"]) == 1
         assert "K0: must be a finite number" in capsys.readouterr().err
 
-    def test_capital_overflow_fails_without_nan_cells(self, tmp_path, capsys):
-        doc = tmp_path / "overflow.json"
-        doc.write_text('{"K0": 1, "tau": 100, "path": {"kind": "constant", "rate": 8.0}}')
-        assert main(["sweep", "--scenario", str(doc), "--metrics", "rroc"]) == 1
+    def test_capital_overflow_fails_without_nan_cells(self, fast_file, capsys):
+        assert main(["sweep", "--scenario", fast_file, "--metrics", "rroc"]) == 1
         captured = capsys.readouterr()
         assert "nan" not in captured.out
         assert "float range" in captured.err
 
-    def test_present_value_overflow_is_one_error_line(self, tmp_path, capsys):
-        doc = tmp_path / "overflow.json"
-        doc.write_text('{"K0": 1, "tau": 100, "path": {"kind": "constant", "rate": 8.0}}')
-        argv = ["sweep", "--scenario", str(doc), "--metrics", "npv,omega",
+    def test_present_value_overflow_is_one_error_line(self, fast_file, capsys):
+        argv = ["sweep", "--scenario", fast_file, "--metrics", "npv,omega",
                 "--d", "0.05", "--u", "0.02"]
         assert main(argv) == 1
         err = capsys.readouterr().err.splitlines()
@@ -246,22 +268,149 @@ class TestOptimize:
         assert "npv(d=0.03)" in out
         assert "rroe(L=1, u=0.02)" in out
 
-    def test_optimum_keeping_an_event_reports_without_irr(self, tmp_path, capsys):
-        doc = {
-            "K0": 1.0,
-            "tau": 10.0,
-            "path": {"kind": "tabulated", "knots": [[0.0, 0.01], [10.0, 0.09]]},
-            "investments": [{"time": 2.0, "amount": 0.5}],
-        }
-        scenario = tmp_path / "events.json"
-        scenario.write_text(json.dumps(doc))
-        argv = ["optimize", "--scenario", str(scenario), "--objective", "rroc"]
+    def test_optimum_keeping_an_event_reports_without_irr(self, events_file, capsys):
+        argv = ["optimize", "--scenario", events_file, "--objective", "rroc"]
         assert main(argv + ["--d", "0.03", "--u", "0.02"]) == 0
         out = capsys.readouterr().out
         assert "rroc = " in out
         assert "rroe(L=1, u=0.02)" in out
         assert "irr" not in out
         assert "npv" not in out
+
+
+def stars(out: str) -> list[float]:
+    """The tau* of every objective line of an optimize report."""
+    return [
+        float(line.split("tau* = ")[1].split(",")[0])
+        for line in out.splitlines()
+        if line.startswith("objective")
+    ]
+
+
+OBJECTIVE_FLAGS = {
+    "rroc": [],
+    "irr": [],
+    "npv": ["--d", "0.025", "--d", "0.05"],
+    "rroe": ["--u", "0.02"],
+}
+
+
+class TestOptimizeSearch:
+    """Every objective goes through one pass over the longest rotation
+    and a root of its first-order condition."""
+
+    @pytest.mark.parametrize("objective", OBJECTIVE_FLAGS)
+    def test_few_time_average_passes(self, hump_file, capsys, monkeypatch, objective):
+        calls = []
+        original = ReturnPath.time_average_rate
+
+        def counted(path, horizon, **kwargs):
+            calls.append(horizon)
+            return original(path, horizon, **kwargs)
+
+        monkeypatch.setattr(ReturnPath, "time_average_rate", counted)
+        argv = ["optimize", "--scenario", hump_file, "--objective", objective]
+        assert main(argv + OBJECTIVE_FLAGS[objective]) == 0
+        # The grid scan with golden-section refinement took 238 per objective.
+        per_objective = len(calls) / len(stars(capsys.readouterr().out))
+        assert per_objective <= 12
+
+    @pytest.mark.parametrize(
+        "objective, flags",
+        [("rroc", []), ("irr", []), ("rroe", ["--u", "0.02"]), ("npv", ["--d", "0.05"])],
+    )
+    def test_flat_objective_reports_the_shortest_rotation(self, constant_file, capsys,
+                                                          objective, flags):
+        # Rate 0.05 everywhere: every rotation is optimal for rroc, rroe and
+        # irr, and at d = 0.05 every present value is zero.
+        argv = ["optimize", "--scenario", constant_file, "--objective", objective]
+        assert main(argv + flags) == 0
+        assert stars(capsys.readouterr().out) == [0.05]  # tau-max / tau-steps
+
+    @pytest.mark.parametrize("objective", ["irr", "npv"])
+    @pytest.mark.parametrize("falling", [False, True], ids=["rising", "falling"])
+    def test_event_scenario_needs_an_investment_free_cycle(self, tmp_path, capsys,
+                                                           objective, falling):
+        doc = dict(EVENTS_DOC)
+        if falling:  # both optima lie before the event, which only the longest rotation keeps
+            doc["path"] = {"kind": "tabulated", "knots": [[0.0, 0.09], [10.0, 0.01]]}
+            doc["investments"] = [{"time": 9.0, "amount": 0.5}]
+        scenario = tmp_path / "events.json"
+        scenario.write_text(json.dumps(doc))
+        argv = ["optimize", "--scenario", str(scenario), "--objective", objective,
+                "--d", "0.03"]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "capreturn optimize: error: closed forms (IRR, present values, "
+            "break-even rate) need an investment-free scenario\n"
+        )
+
+    def test_fast_growth_irr_is_flat(self, fast_file, capsys):
+        # The IRR needs the cumulative return only, which stays finite.
+        assert main(["optimize", "--scenario", fast_file, "--objective", "irr"]) == 0
+        out = capsys.readouterr().out
+        assert out.splitlines()[0] == "objective irr: tau* = 0.5, value = 8"
+
+    def test_fast_growth_npv_is_a_typed_error(self, fast_file, capsys):
+        argv = ["optimize", "--scenario", fast_file, "--objective", "npv", "--d", "0.05"]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert "nan" not in captured.out
+        err = captured.err.splitlines()
+        assert len(err) == 1
+        assert "error: " in err[0] and "float range" in err[0]
+
+
+class TestUnreadableInput:
+    """Input that cannot be read ends in one error line and exit 1."""
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("time,amount\n0,-1\n1,x\n", "row 3: could not convert string to float: 'x'"),
+            ("time,amount\n0,-1\n1\n", "row 3: expected time,amount"),
+            ("time,amount\n0,-1\nx,1\n", "row 3: time 'x' is not numeric"),
+            ("time,amount\n0,-1\n", "schedule needs at least two events"),
+            ("time,amount\n-1,-1\n1,2\n", "event times must be nonnegative"),
+            ("time,amount\n1,-1\n0,2\n", "event times must be nondecreasing"),
+            ('"' + "x" * 200_000 + '",1\n',
+             "malformed CSV: field larger than field limit (131072)"),
+        ],
+        ids=["cell", "short-row", "time", "one-event", "negative-time", "decreasing",
+             "huge-field"],
+    )
+    def test_bad_cash_flows(self, tmp_path, capsys, text, message):
+        flows = tmp_path / "flows.csv"
+        flows.write_text(text)
+        assert main(["irr", "--cashflows", str(flows)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [f"capreturn irr: error: {message}"]
+
+    @pytest.mark.parametrize("command", ["sweep", "optimize", "irr"])
+    def test_non_utf8_file(self, tmp_path, capsys, command):
+        bad = tmp_path / "latin1.txt"
+        bad.write_bytes("time,amount\n0,-1\n1,2 \u20ac\n".encode("cp1252"))
+        flag = "--cashflows" if command == "irr" else "--scenario"
+        argv = [command, flag, str(bad)] + (["--objective", "rroc"] if command == "optimize" else [])
+        assert main(argv) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == [
+            f"capreturn {command}: error: {bad}: not UTF-8 text (invalid start byte at byte 21)"
+        ]
+
+
+def test_an_untyped_error_is_not_reported_as_input_error(hump_file, monkeypatch):
+    # Every input error is a CapReturnError or OSError; anything else is a
+    # fault of the program and keeps its traceback.
+    def broken(args):
+        raise ValueError("not an input error")
+
+    monkeypatch.setattr(cli, "_cmd_sweep", broken)
+    with pytest.raises(ValueError, match="not an input error"):
+        main(["sweep", "--scenario", hump_file])
 
 
 class TestIrrCommand:

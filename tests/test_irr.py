@@ -15,6 +15,7 @@ from capreturn import (
     GrowthScenario,
     InvestmentEvent,
     NoRootError,
+    ReversedPath,
     RootConvergenceError,
     SinSquaredPath,
     UnsupportedScheduleError,
@@ -24,7 +25,8 @@ from capreturn import (
     rroc,
     with_rotation,
 )
-from oracles import real_roots_by_scan
+from capreturn.irr import _irr_argmax
+from oracles import bisect_root, real_roots_by_scan, refine_argmax
 
 MEAN, SHAPE, CYCLE = 0.05, 0.5, 100.0
 
@@ -56,6 +58,43 @@ class TestGrowthCycleIrr:
         )
         with pytest.raises(UnsupportedScheduleError, match="investment-free"):
             growth_cycle_irr(s)
+
+
+# A sin^2 hump, a narrower one, and a hump played backwards from past its
+# peak, so that the rate first rises and then falls for most of the rotation.
+SEARCH_SCENARIOS = {
+    "hump": GrowthScenario(1.0, CYCLE, SinSquaredPath(MEAN, SHAPE, CYCLE)),
+    "cycle80": GrowthScenario(1.0, 80.0, SinSquaredPath(MEAN, 0.3, 80.0)),
+    "reversed": GrowthScenario(1.0, 60.0, ReversedPath(SinSquaredPath(MEAN, SHAPE, CYCLE), 60.0)),
+}
+
+
+@pytest.mark.parametrize("name", SEARCH_SCENARIOS)
+class TestIrrSearch:
+    """The IRR-optimal rotation: where the spot rate falls to the
+    time-average rate, bracketed by one pass over the longest rotation."""
+
+    @staticmethod
+    def grid(s):
+        return np.linspace(s.rotation_length / 200, s.rotation_length, 200)
+
+    def test_matches_the_first_order_condition(self, name):
+        s = SEARCH_SCENARIOS[name]
+        tau, _ = _irr_argmax(s, self.grid(s), 4096)
+
+        def rate_gap(t):
+            return s.path.evaluate(t) - growth_cycle_irr(with_rotation(s, t), intervals=65536)
+
+        assert tau == pytest.approx(bisect_root(rate_gap, tau - 1.0, tau + 1.0), abs=1e-8)
+
+    def test_not_below_golden_section(self, name):
+        s = SEARCH_SCENARIOS[name]
+        tau, value = _irr_argmax(s, self.grid(s), 4096)
+        _, golden = refine_argmax(
+            lambda t: growth_cycle_irr(with_rotation(s, t)), self.grid(s)
+        )
+        assert value == growth_cycle_irr(with_rotation(s, tau))
+        assert value >= golden * (1.0 - 1e-12)
 
 
 class TestScheduleValidation:

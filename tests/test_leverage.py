@@ -24,14 +24,13 @@ from capreturn import (
     leveraged_discount_rate,
     leveraged_npv,
     parse_scenario,
-    refine_argmax,
     rroc,
     rroe,
     rroe_argmax,
     with_rotation,
 )
 from capreturn import leverage as leverage_module
-from oracles import bisect_root
+from oracles import bisect_root, refine_argmax
 
 MEAN, SHAPE, CYCLE = 0.05, 0.5, 100.0
 

@@ -1,10 +1,32 @@
-"""The bracketed root finder."""
+"""The shared rotation-length search and its bracketed root finder."""
 
 import math
 
+import numpy as np
 import pytest
 
-from capreturn.optimize import _bracketed_root
+from capreturn import ConstantPath, GrowthScenario
+from capreturn.optimize import _bracketed_root, _first_order_argmax
+
+
+class TestFirstOrderArgmax:
+    @pytest.mark.parametrize("spread, flat", [(0.0, True), (1e-13, True), (1e-10, False)])
+    def test_a_curve_flat_to_rounding_gives_the_shortest_rotation(self, spread, flat):
+        s = GrowthScenario(1.0, 10.0, ConstantPath(0.05))
+        calls = []
+
+        def curve(longest, grid):
+            times = np.linspace(0.0, longest.rotation_length, 101)
+            return times, 0.05 + spread * times  # rising: the maximum is at 10
+
+        def objective(rotation):
+            calls.append(rotation.rotation_length)
+            return 0.05, 0.05
+
+        tau, value = _first_order_argmax(s, (10.0, 1.0), curve, objective)
+        assert (tau == 1.0) == flat
+        assert value == 0.05
+        assert (calls == [1.0]) == flat  # otherwise the best node's bracket is searched
 
 
 class TestBracketedRoot:

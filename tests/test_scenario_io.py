@@ -435,6 +435,17 @@ class TestCashFlowCsv:
         with pytest.raises(NoRootError):
             read_cash_flow_csv("time,amount\n0,1\n1,2\n")
 
+    @pytest.mark.parametrize(
+        "text",
+        ["time,amount\n0,-1\n1,x\n", "time,amount\n0,-1\n1\n", "time,amount\n0,-1\nx,1\n",
+         "time,amount\n0,-1\n", "-1,-1\n1,2\n", "1,-1\n0,2\n", '"' + "x" * 200_000 + '",1\n'],
+        ids=["cell", "short-row", "time", "one-event", "negative-time", "decreasing",
+             "huge-field"],
+    )
+    def test_unreadable_text_is_a_parse_error(self, text):
+        with pytest.raises(ScenarioParseError):
+            read_cash_flow_csv(text)
+
     def test_non_finite_number_names_its_row(self):
         with pytest.raises(ValueError, match="row 3: time and amount must be finite"):
             read_cash_flow_csv("time,amount\n0,-1\n1,nan\n")

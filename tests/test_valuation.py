@@ -16,15 +16,16 @@ from capreturn import (
     SinSquaredPath,
     UnsupportedScheduleError,
     InvestmentEvent,
+    ReversedPath,
     growth_cycle_irr,
     leverage_npv_ratio,
     leveraged_discount_rate,
     leveraged_npv,
     npv,
-    refine_argmax,
     with_rotation,
 )
-from oracles import npv_rotation_series
+from capreturn.valuation import _npv_argmax
+from oracles import bisect_root, npv_rotation_series, refine_argmax
 
 MEAN, SHAPE, CYCLE = 0.05, 0.5, 100.0
 
@@ -206,6 +207,47 @@ class TestNpvArgmaxDrift:
         assert argmaxes[0] > argmaxes[1] > argmaxes[2]
 
 
+# A sin^2 hump, a narrower one, and a hump played backwards from past its
+# peak, so that the rate first rises and then falls for most of the rotation.
+SEARCH_SCENARIOS = {
+    "hump": GrowthScenario(1.0, CYCLE, SinSquaredPath(MEAN, SHAPE, CYCLE)),
+    "cycle80": GrowthScenario(1.0, 80.0, SinSquaredPath(MEAN, 0.3, 80.0)),
+    "reversed": GrowthScenario(1.0, 60.0, ReversedPath(SinSquaredPath(MEAN, SHAPE, CYCLE), 60.0)),
+}
+
+
+@pytest.mark.parametrize("d", [0.025, 0.03, 0.05])
+@pytest.mark.parametrize("name", SEARCH_SCENARIOS)
+class TestNpvSearch:
+    """The NPV-optimal (Faustmann) rotation, bracketed by one pass over
+    the longest rotation and solved from the first-order condition."""
+
+    @staticmethod
+    def grid(s):
+        return np.linspace(s.rotation_length / 200, s.rotation_length, 200)
+
+    def test_matches_the_first_order_condition(self, name, d):
+        s = SEARCH_SCENARIOS[name]
+        tau, _ = _npv_argmax(s, d, self.grid(s), 4096)
+
+        def rate_gap(t):
+            # N * (1 - exp(-d*t)) = K0 * exp(R - d*t) - K0, differentiated
+            # at dN/dt = 0, with R = t * avg.
+            at_t = with_rotation(s, t)
+            avg = growth_cycle_irr(at_t, intervals=65536)
+            value = npv(at_t, d, intervals=65536)
+            return s.path.evaluate(t) - d * (1.0 + value / (s.initial_capital * math.exp(t * avg)))
+
+        assert tau == pytest.approx(bisect_root(rate_gap, tau - 1.0, tau + 1.0), abs=1e-8)
+
+    def test_not_below_golden_section(self, name, d):
+        s = SEARCH_SCENARIOS[name]
+        tau, value = _npv_argmax(s, d, self.grid(s), 4096)
+        _, golden = refine_argmax(lambda t: npv(with_rotation(s, t), d), self.grid(s))
+        assert value == npv(with_rotation(s, tau), d)
+        assert value >= golden - 1e-12 * abs(golden)
+
+
 FAST = constant_scenario(rate=8.0, tau=100.0)  # exp(100 * 8) overflows a float
 RICH = constant_scenario(rate=0.5, k0=1e307)  # finite growth, a value beyond range
 
@@ -220,9 +262,10 @@ RICH = constant_scenario(rate=0.5, k0=1e307)  # finite growth, a value beyond ra
         lambda: npv(RICH, 0.05),
         lambda: leveraged_npv(RICH, 0.05, 0.02, 1.0),
         lambda: npv(constant_scenario(), 1e-20),
+        lambda: _npv_argmax(FAST, 0.05, np.linspace(0.5, 100.0, 200), 4096),
     ],
     ids=["npv", "leveraged_npv", "leverage_npv_ratio", "leveraged_discount_rate",
-         "npv-value", "leveraged_npv-value", "npv-tiny-discount"],
+         "npv-value", "leveraged_npv-value", "npv-tiny-discount", "npv-search"],
 )
 def test_beyond_float_range_is_a_typed_error(closed_form):
     with pytest.raises(DegenerateCapitalError, match="float range"):
