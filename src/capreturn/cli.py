@@ -256,11 +256,16 @@ def _cmd_optimize(args) -> int:
                 _, s = _rroc_optimum(base, grid, intervals)
                 yield f"objective rroe, L={args.L:g}, u={u:g}", (tau, rroe(s, args.L, u)), s
 
+    # The whole report is built before any of it is printed, so a failure
+    # leaves only its error line.
+    report = []
     for label, (tau_star, value), s in optima():
-        print(f"{label}: tau* = {tau_star:.9g}, value = {value:.9g}")
-        print("competing criteria at tau*:")
-        for line in _competing_report(doc, tau_star, s, args):
-            print(line)
+        report += [
+            f"{label}: tau* = {tau_star:.9g}, value = {value:.9g}",
+            "competing criteria at tau*:",
+            *_competing_report(doc, tau_star, s, args),
+        ]
+    print("\n".join(report))
     return 0
 
 

@@ -6,6 +6,11 @@ the age-weighted average of the single-site capital trajectory, and its
 return on capital weights each site's spot rate by the capital it
 carries — which generally differs from the plain area-average of spot
 rates across the estate.
+
+:func:`estate_rroc`, :func:`area_average_rate` and
+:func:`estate_capitalization` read three integrals of one pass over the
+rotation. The latest estate's pass is remembered, so the three called
+on one estate make one pass between them.
 """
 
 from __future__ import annotations
@@ -18,6 +23,7 @@ import numpy as np
 
 from .errors import DegenerateCapitalError
 from .growth import GrowthScenario, _segments
+from .memo import remember_latest
 from .paths import _require_within
 from .quadrature import DEFAULT_INTERVALS, _definite_integral
 
@@ -92,6 +98,15 @@ class TabulatedAgeDensity(AgeDensity):
         ages = np.array([a for a, _ in self.knots])
         return ages, np.array([w for _, w in self.knots]) * self.renormalization_factor
 
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.knots,))
+
+    def __hash__(self):
+        """The dataclass hash, computed once: it keys the memo of the
+        estate pass, and the knots cannot change."""
+        return self._hash
+
     def support(self, rotation_length: float) -> tuple[float, float]:
         return (self.knots[0][0], self.knots[-1][0])
 
@@ -115,10 +130,13 @@ class EstateSpec:
         _require_within("age density support", support, "rotation", (0.0, tau))
 
 
+@remember_latest
 def _weighted_integrals(
     estate: EstateSpec, intervals: int
 ) -> tuple[float, float, float]:
-    """Age-density-weighted integrals of capital, capital*rate, and rate."""
+    """Age-density-weighted integrals of capital, capital*rate, and rate,
+    from one ``_segments`` pass. The latest estate's integrals are
+    remembered, so the three public functions share one pass."""
     scenario = estate.site_scenario
     tau = scenario.rotation_length
     lo, hi = estate.ages.support(tau)

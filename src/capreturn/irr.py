@@ -25,7 +25,7 @@ from .errors import (
     RootConvergenceError,
 )
 from .growth import GrowthScenario, _cycle_average, _cycle_averages
-from .optimize import _first_order_argmax
+from .optimize import _first_order_argmax, _rounding
 from .quadrature import DEFAULT_INTERVALS
 
 #: Event times must sit on the common grid within this many years.
@@ -124,10 +124,15 @@ def _irr_argmax(scenario: GrowthScenario, rotation_grid, intervals: int) -> tupl
     """``optimize._first_order_argmax`` of the IRR, the time-average rate:
     its slope ``(r(tau) - irr(tau)) / tau`` vanishes where the spot rate
     falls to it."""
+
+    def curve(longest: GrowthScenario, grid: np.ndarray):
+        times, avg = _cycle_averages(longest, grid, intervals)
+        return times, avg, _rounding(avg)
+
     return _first_order_argmax(
         scenario,
         rotation_grid,
-        lambda longest, grid: _cycle_averages(longest, grid, intervals),
+        curve,
         lambda rotation: (growth_cycle_irr(rotation, intervals=intervals),) * 2,
     )
 

@@ -9,7 +9,6 @@ in interest-bearing instruments.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from collections.abc import Sequence
@@ -18,7 +17,8 @@ import numpy as np
 
 from .errors import InvalidLeverageError, WipedOutEquityError
 from .growth import GrowthScenario, _cycle_average, _exp, _segments, rroc
-from .optimize import _first_order_argmax
+from .memo import remember_latest
+from .optimize import _first_order_argmax, _rounding
 from .quadrature import DEFAULT_INTERVALS, cumulative_simpson_nodes
 
 
@@ -100,7 +100,7 @@ def leveraged_discount_rate(
     return rate
 
 
-@functools.lru_cache(maxsize=1)
+@remember_latest
 def _rroc_argmax(
     scenario: GrowthScenario, rotation_grid: tuple[float, ...], intervals: int
 ) -> tuple[float, float]:
@@ -112,19 +112,20 @@ def _rroc_argmax(
     ending there, since a shorter rotation only drops the events at or
     after its end. A constant path is flat: the shortest rotation wins.
 
-    The one entry remembers the latest search, so the equity-return
-    maximizers of one scenario at several market rates or leverages
-    share it. Arguments must be hashable; they compare by value.
+    The latest search is remembered, so the equity-return maximizers of
+    one scenario at several market rates or leverages share it. A
+    scenario that cannot be hashed is searched afresh.
 
     Raises:
         ValueError: empty grid, or a grid point that is not positive.
         DegenerateCapitalError: from the pass over the longest rotation.
     """
 
-    def curve(longest: GrowthScenario, grid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def curve(longest: GrowthScenario, grid: np.ndarray):
         times, steps, rates, capital = _segments(longest, grid, intervals)
         profit = cumulative_simpson_nodes(capital * rates, steps)
-        return times, profit / cumulative_simpson_nodes(capital, steps)
+        ratio = profit / cumulative_simpson_nodes(capital, steps)
+        return times, ratio, _rounding(ratio)
 
     return _first_order_argmax(
         scenario, rotation_grid, curve, lambda s: (rroc(s, intervals=intervals),) * 2
@@ -134,14 +135,8 @@ def _rroc_argmax(
 def _rroc_optimum(
     scenario: GrowthScenario, rotation_grid: Sequence[float], intervals: int
 ) -> tuple[float, float]:
-    """``_rroc_argmax`` of any grid sequence; a scenario that cannot be
-    hashed (a path of a non-frozen dataclass, say) is searched afresh."""
-    grid = tuple(map(float, rotation_grid))
-    try:
-        hash(scenario)
-    except TypeError:
-        return _rroc_argmax.__wrapped__(scenario, grid, intervals)
-    return _rroc_argmax(scenario, grid, intervals)
+    """``_rroc_argmax`` of any grid sequence."""
+    return _rroc_argmax(scenario, tuple(map(float, rotation_grid)), intervals)
 
 
 def rroe_argmax(

@@ -183,6 +183,15 @@ class TabulatedPath(ReturnPath):
         times, rates = (np.array(column, dtype=float) for column in zip(*self.knots))
         return times, rates
 
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.knots,))
+
+    def __hash__(self):
+        """The dataclass hash, computed once: it keys the memos of the
+        passes over a rotation, and the knots cannot change."""
+        return self._hash
+
     def _kinks(self):
         return self._knot_arrays[0][1:-1]
 

@@ -392,7 +392,9 @@ def _format_cell(cell) -> str:
 def read_cash_flow_csv(text: str) -> CashFlowSchedule:
     """Cash-flow schedule from CSV rows of ``time,amount``.
 
-    A leading header row is skipped when its first cell is not numeric.
+    A header is skipped when the first row that is not blank has a first
+    cell that is not numeric. Messages name rows by their line in the
+    text, blank rows counted.
 
     Raises:
         ScenarioParseError: malformed CSV, a row that cannot be read (the
@@ -404,22 +406,22 @@ def read_cash_flow_csv(text: str) -> CashFlowSchedule:
         rows = list(csv.reader(io.StringIO(text)))
     except csv.Error as exc:
         raise ScenarioParseError(f"malformed CSV: {exc}") from None
+    # (line number, row) of every row that is not blank
+    nonblank = [(line, row) for line, row in enumerate(rows, 1) if any(map(str.strip, row))]
     events = []
-    for i, row in enumerate(rows):
-        if not row or all(not cell.strip() for cell in row):
-            continue
+    for k, (line, row) in enumerate(nonblank):
         try:
             t = float(row[0])
         except ValueError:
-            if i == 0:
+            if k == 0:
                 continue  # header row
-            raise ScenarioParseError(f"row {i + 1}: time {row[0]!r} is not numeric")
+            raise ScenarioParseError(f"row {line}: time {row[0]!r} is not numeric")
         if len(row) < 2:
-            raise ScenarioParseError(f"row {i + 1}: expected time,amount")
+            raise ScenarioParseError(f"row {line}: expected time,amount")
         try:
             events.append(CashEvent(time=t, amount=float(row[1])))
         except ValueError as exc:
-            raise ScenarioParseError(f"row {i + 1}: {exc}") from None
+            raise ScenarioParseError(f"row {line}: {exc}") from None
     try:
         return CashFlowSchedule(events=tuple(events))
     except NoRootError:  # already typed, and not a reading error

@@ -23,7 +23,7 @@ import numpy as np
 from .errors import DegenerateCapitalError, IndeterminateRatioError, InvalidDiscountError
 from .growth import GrowthScenario, _cycle_average, _cycle_averages, _exp
 from .leverage import _require_leverage
-from .optimize import _first_order_argmax
+from .optimize import _first_order_argmax, _rounding
 from .quadrature import DEFAULT_INTERVALS
 
 
@@ -85,12 +85,16 @@ def _npv_argmax(
     solves ``N * (1 - exp(-d*tau)) = K0 * (exp(R - d*tau) - 1)`` with
     ``R = tau * avg`` the cumulative return. Its slope has the sign of
     ``r(tau) - d * (1 - exp(-R)) / (1 - exp(-d*tau))``: the Faustmann
-    rotation, which moves with ``d``."""
+    rotation, which moves with ``d``. The curve is ``N / K0``, built from
+    ``g = R - d*tau``; ``g`` carries the rounding of ``R``, which grows
+    with ``R``, and ``N / K0`` carries it times ``exp(g) / (1 - exp(-d*tau))``."""
     _require_discount(discount_rate)
 
-    def curve(longest: GrowthScenario, grid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def curve(longest: GrowthScenario, grid: np.ndarray):
         times, avg = _cycle_averages(longest, grid, intervals)
-        return times, np.expm1(times * (avg - discount_rate)) / -np.expm1(-discount_rate * times)
+        gain, factor = times * (avg - discount_rate), -np.expm1(-discount_rate * times)
+        rounding = _rounding(times * avg) * np.exp(gain) / factor
+        return times, np.expm1(gain) / factor, rounding
 
     def objective(rotation: GrowthScenario) -> tuple[float, float]:
         avg, tau = _cycle_average(rotation, intervals), rotation.rotation_length

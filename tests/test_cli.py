@@ -353,6 +353,32 @@ class TestOptimizeSearch:
         out = capsys.readouterr().out
         assert out.splitlines()[0] == "objective irr: tau* = 0.5, value = 8"
 
+    def test_failing_report_prints_nothing(self, constant_file, capsys):
+        # The optimum is found; its competing criteria overflow.
+        argv = ["optimize", "--scenario", constant_file, "--objective", "irr",
+                "--tau-max", "1e300"]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "capreturn optimize: error: capital beyond float range at t=1.2207e+294"
+        ]
+
+    @pytest.mark.parametrize(
+        "objective, flags", [("rroc", []), ("irr", []), ("npv", ["--d", "0.1"])]
+    )
+    def test_flat_objective_at_a_large_cumulative_return(self, tmp_path, capsys,
+                                                         objective, flags):
+        # At d = 0.1 every present value is zero, to a rounding that grows
+        # with the cumulative return (30 at tau = 300).
+        doc = tmp_path / "long.json"
+        doc.write_text(json.dumps(
+            {"K0": 1, "tau": 300, "path": {"kind": "constant", "rate": 0.1}}
+        ))
+        argv = ["optimize", "--scenario", str(doc), "--objective", objective]
+        assert main(argv + flags) == 0
+        assert stars(capsys.readouterr().out) == [1.5]  # tau-max / tau-steps
+
     def test_fast_growth_npv_is_a_typed_error(self, fast_file, capsys):
         argv = ["optimize", "--scenario", fast_file, "--objective", "npv", "--d", "0.05"]
         assert main(argv) == 1
@@ -420,6 +446,12 @@ class TestIrrCommand:
         assert main(["irr", "--cashflows", str(flows)]) == 0
         out = capsys.readouterr().out
         assert "principal   : 0" in out or "principal   : -0" in out
+
+    def test_header_after_a_blank_line(self, tmp_path, capsys):
+        flows = tmp_path / "flows.csv"
+        flows.write_text("\ntime,amount\n0,-1\n1,1.1\n")
+        assert main(["irr", "--cashflows", str(flows)]) == 0
+        assert f"principal   : {math.log(1.1):.9g}" in capsys.readouterr().out
 
     def test_two_real_roots_printed(self, tmp_path, capsys):
         flows = tmp_path / "flows.csv"

@@ -1,11 +1,16 @@
 """Facility-level aggregation over an age distribution of sites."""
 
+import dataclasses
 import json
 import math
+import sys
+import threading
 
+import numpy as np
 import pytest
 
 from capreturn import (
+    AgeDensity,
     ConstantPath,
     DegenerateCapitalError,
     EstateSpec,
@@ -21,9 +26,12 @@ from capreturn import (
     estate_rroc,
     expected_capitalization,
     growth_cycle_irr,
+    ReturnPath,
     parse_scenario,
     rroc,
 )
+from capreturn import estate as estate_module
+from capreturn.quadrature import DEFAULT_INTERVALS
 from oracles import linear_rate_integral, midpoint_integral
 
 MEAN, SHAPE, CYCLE = 0.05, 0.5, 100.0
@@ -195,3 +203,136 @@ def test_capital_beyond_float_range_is_degenerate(tau):
     estate = EstateSpec(GrowthScenario(1.0, tau, ConstantPath(8.0)), UniformAgeDensity())
     with pytest.raises(DegenerateCapitalError, match="float range"):
         estate_rroc(estate)
+
+
+def three_values(estate):
+    return (estate_rroc(estate), area_average_rate(estate), estate_capitalization(estate))
+
+
+@pytest.fixture
+def passes(monkeypatch):
+    """Counts the rotation passes of the estate functions, with the
+    remembered pass forgotten first."""
+    calls = []
+    original = estate_module._segments
+
+    def counted(*args):
+        calls.append(args[0])
+        return original(*args)
+
+    estate_module._weighted_integrals.cache_clear()
+    monkeypatch.setattr(estate_module, "_segments", counted)
+    return calls
+
+
+@dataclasses.dataclass
+class MutablePath(ReturnPath):
+    """A path of a non-frozen dataclass, which cannot be hashed."""
+
+    rate: float
+
+    def domain(self):
+        return (-math.inf, math.inf)
+
+    def _rates(self, ts):
+        return np.full_like(ts, self.rate, dtype=float)
+
+
+@dataclasses.dataclass
+class MutableDensity(AgeDensity):
+    """Uniform ages up to ``oldest``, as a non-frozen dataclass."""
+
+    oldest: float
+
+    def support(self, rotation_length):
+        return (0.0, self.oldest)
+
+    def knot_times(self, rotation_length):
+        return ()
+
+    def density(self, ages, rotation_length):
+        return np.where(ages <= self.oldest, 1.0 / self.oldest, 0.0)
+
+
+WEIGHTS = ((10.0, 0.2), (40.0, 1.0), (90.0, 0.1))
+
+
+class TestRememberedPass:
+    """The three estate functions on one estate share one pass."""
+
+    def test_one_pass_for_the_three_functions(self, passes):
+        estate = hump_estate(TabulatedAgeDensity(WEIGHTS))
+        three_values(estate)
+        assert len(passes) == 1
+        # An equal estate, built afresh, is served the same pass.
+        three_values(hump_estate(TabulatedAgeDensity(WEIGHTS)))
+        assert len(passes) == 1
+
+    def test_remembered_values_are_those_of_a_fresh_pass(self, passes):
+        estate = hump_estate(TabulatedAgeDensity(WEIGHTS))
+        capital, profit, rate = estate_module._weighted_integrals.__wrapped__(
+            estate, DEFAULT_INTERVALS
+        )
+        for _ in range(2):
+            assert three_values(estate) == (profit / capital, rate, capital)
+
+    def test_an_estate_one_weight_apart_gets_its_own_pass(self, passes):
+        first = three_values(hump_estate(TabulatedAgeDensity(WEIGHTS)))
+        other = TabulatedAgeDensity((WEIGHTS[0], (40.0, 1.5), WEIGHTS[2]))
+        second = three_values(hump_estate(other))
+        assert len(passes) == 2
+        assert second[0] != first[0]
+        assert second == three_values(hump_estate(other))
+        assert len(passes) == 2
+
+    @pytest.mark.parametrize("part", ["path", "density"])
+    def test_unhashable_parts_are_computed_afresh(self, passes, part):
+        path = MutablePath(MEAN) if part == "path" else ConstantPath(MEAN)
+        ages = MutableDensity(CYCLE) if part == "density" else UniformAgeDensity()
+        estate = EstateSpec(GrowthScenario(1.0, CYCLE, path), ages)
+        with pytest.raises(TypeError):
+            hash(estate)
+        assert three_values(estate) == pytest.approx((MEAN, MEAN, math.expm1(5.0) / 5.0))
+        assert len(passes) == 3
+        # A change in place is seen, since nothing was remembered.
+        if part == "path":
+            path.rate = 2.0 * MEAN
+            assert estate_rroc(estate) == pytest.approx(2.0 * MEAN)
+        else:
+            ages.oldest = CYCLE / 2.0
+            assert estate_capitalization(estate) == pytest.approx(math.expm1(2.5) / 2.5)
+        assert len(passes) == 4
+
+    def test_threads_alternating_estates_get_their_own_values(self):
+        estates = [hump_estate(TabulatedAgeDensity(WEIGHTS)), hump_estate()]
+        expected = [three_values(e) for e in estates]
+        wrong = []
+
+        def work(offset):
+            for i in range(100):
+                k = (i + offset) % 2
+                if three_values(estates[k]) != expected[k]:
+                    wrong.append(k)
+
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert wrong == []
+
+    @pytest.mark.parametrize("cls", [TabulatedPath, TabulatedAgeDensity])
+    def test_knot_classes_hash_and_compare_as_dataclasses(self, cls):
+        plain = dataclasses.make_dataclass("Plain", [("knots", tuple)], frozen=True)
+        knots = ((0.0, 0.5), (50.0, 1.0), (CYCLE, 0.25))
+        built = cls(knots)
+        assert hash(built) == hash(plain(knots)) == hash(cls(tuple(map(tuple, knots))))
+        assert built == cls(knots)
+        assert built != cls(knots[:2] + ((CYCLE, 0.3),))
+        assert built != plain(knots)

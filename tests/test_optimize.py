@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from capreturn import ConstantPath, GrowthScenario
-from capreturn.optimize import _bracketed_root, _first_order_argmax
+from capreturn.optimize import _bracketed_root, _first_order_argmax, _rounding
 
 
 class TestFirstOrderArgmax:
@@ -17,7 +17,8 @@ class TestFirstOrderArgmax:
 
         def curve(longest, grid):
             times = np.linspace(0.0, longest.rotation_length, 101)
-            return times, 0.05 + spread * times  # rising: the maximum is at 10
+            values = 0.05 + spread * times  # rising: the maximum is at 10
+            return times, values, _rounding(values)
 
         def objective(rotation):
             calls.append(rotation.rotation_length)

@@ -431,6 +431,18 @@ class TestCashFlowCsv:
         sched = read_cash_flow_csv("0,-1\n1,1\n")
         assert [e.time for e in sched.events] == [0.0, 1.0]
 
+    def test_header_after_blank_lines(self):
+        sched = read_cash_flow_csv("\n , \ntime,amount\n0,-1\n1,1.1\n")
+        assert [(e.time, e.amount) for e in sched.events] == [(0.0, -1.0), (1.0, 1.1)]
+
+    def test_second_nonblank_row_is_no_header(self):
+        with pytest.raises(ScenarioParseError, match="row 4: time 'time' is not numeric"):
+            read_cash_flow_csv("\n0,-1\n\ntime,amount\n1,1\n")
+
+    def test_rows_keep_their_line_numbers_after_blank_lines(self):
+        with pytest.raises(ScenarioParseError, match="row 5: expected time,amount"):
+            read_cash_flow_csv("\ntime,amount\n0,-1\n\n1\n")
+
     def test_all_positive_has_no_rate(self):
         with pytest.raises(NoRootError):
             read_cash_flow_csv("time,amount\n0,1\n1,2\n")
