@@ -17,14 +17,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
 from .errors import DegenerateCapitalError
 from .growth import GrowthScenario, _segments
 from .memo import remember_latest
-from .paths import _require_within
+from .paths import _KnotTable, _require_within
 from .quadrature import DEFAULT_INTERVALS, _definite_integral
 
 
@@ -57,55 +56,33 @@ class UniformAgeDensity(AgeDensity):
 
 
 @dataclass(frozen=True)
-class TabulatedAgeDensity(AgeDensity):
+class TabulatedAgeDensity(_KnotTable, AgeDensity):
     """Piecewise-linear age density through ``(age, weight)`` knots.
 
-    Weights must be nonnegative with strictly increasing ages and a
-    positive total mass; the density is zero outside the knot range.
-    Inputs are rescaled so the density integrates to one exactly;
-    ``renormalization_factor`` reports the applied scale.
+    The knot rules are those of ``paths._KnotTable``, the base it shares
+    with ``TabulatedPath``: at least two knots, strictly increasing ages.
+    Weights must be nonnegative with a positive total mass; the density
+    is zero outside the knot range. Inputs are rescaled so the density
+    integrates to one exactly; ``renormalization_factor`` reports the
+    applied scale.
     """
 
-    knots: tuple[tuple[float, float], ...]
+    _what, _first = "density", "ages"
+    __hash__ = _KnotTable.__hash__
 
     def __post_init__(self):
-        if len(self.knots) < 2:
-            raise ValueError("tabulated density needs at least two knots")
-        ages = [a for a, _ in self.knots]
-        if any(b <= a for a, b in zip(ages, ages[1:])):
-            raise ValueError("knot ages must be strictly increasing")
-        if any(w < 0.0 for _, w in self.knots):
+        super().__post_init__()
+        ages, weights = self._knot_arrays
+        if np.any(weights < 0.0):
             raise ValueError("density weights must be nonnegative")
-        mass = self._raw_mass()
+        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite mass is rejected
+            mass = float(np.trapezoid(weights, ages))
         if not math.isfinite(mass):
             raise ValueError("density total mass must be finite")
         if mass <= 0.0:
             raise ValueError("density must have positive total mass")
-
-    def _raw_mass(self) -> float:
-        ages = np.array([a for a, _ in self.knots])
-        weights = np.array([w for _, w in self.knots])
-        with np.errstate(over="ignore"):  # an overflowing mass is rejected as such
-            return float(np.trapezoid(weights, ages))
-
-    @cached_property
-    def renormalization_factor(self) -> float:
-        """Scale applied to the raw weights so the density integrates to 1."""
-        return 1.0 / self._raw_mass()
-
-    @cached_property
-    def _density_knots(self) -> tuple[np.ndarray, np.ndarray]:
-        ages = np.array([a for a, _ in self.knots])
-        return ages, np.array([w for _, w in self.knots]) * self.renormalization_factor
-
-    @cached_property
-    def _hash(self) -> int:
-        return hash((self.knots,))
-
-    def __hash__(self):
-        """The dataclass hash, computed once: it keys the memo of the
-        estate pass, and the knots cannot change."""
-        return self._hash
+        # Not a field, so equality and the hash stay those of the knots.
+        object.__setattr__(self, "renormalization_factor", 1.0 / mass)
 
     def support(self, rotation_length: float) -> tuple[float, float]:
         return (self.knots[0][0], self.knots[-1][0])
@@ -114,7 +91,9 @@ class TabulatedAgeDensity(AgeDensity):
         return tuple(a for a, _ in self.knots)
 
     def density(self, ages: np.ndarray, rotation_length: float) -> np.ndarray:
-        return np.interp(ages, *self._density_knots, left=0.0, right=0.0)
+        knot_ages, weights = self._knot_arrays
+        scaled = weights * self.renormalization_factor
+        return np.interp(ages, knot_ages, scaled, left=0.0, right=0.0)
 
 
 @dataclass(frozen=True)
@@ -148,11 +127,12 @@ def _weighted_integrals(
     inside = (ts[:-2:2] >= lo) & (ts[2::2] <= hi)
     if not inside.all():
         steps = steps * inside
-    integrals = (
-        _definite_integral(capital * weights, steps),
-        _definite_integral(capital * rates * weights, steps),
-        _definite_integral(rates * weights, steps),
-    )
+    with np.errstate(over="ignore", invalid="ignore"):  # judged below
+        integrals = (
+            _definite_integral(capital * weights, steps),
+            _definite_integral(capital * rates * weights, steps),
+            _definite_integral(rates * weights, steps),
+        )
     if not all(map(math.isfinite, integrals)):
         raise DegenerateCapitalError("age-weighted capital is beyond float range")
     return integrals

@@ -163,16 +163,20 @@ def _segments(
     times, steps = _grid(0.0, tau, all_cuts, intervals)
     rates = scenario.path._clipped_rates(times)
     returns = cumulative_simpson_nodes(rates, steps)
-    if not event_times.size:
-        capital = scenario.initial_capital * np.exp(returns)
-    else:
-        after = np.searchsorted(times, event_times, "right") - 1  # post-jump nodes
-        amounts = np.array([e.amount for e in scenario.investments])
-        bases = np.cumsum(np.append(scenario.initial_capital, amounts * np.exp(-returns[after])))
-        if np.any(bases[1:] <= 0.0):
-            bad = event_times[np.argmax(bases[1:] <= 0.0)]
-            raise DegenerateCapitalError(f"capital nonpositive just after event at t={bad:g}")
-        capital = np.repeat(bases, np.diff(after, prepend=0, append=times.size)) * np.exp(returns)
+    # Capital beyond float range is inf or NaN, which is judged below.
+    with np.errstate(over="ignore", invalid="ignore"):
+        if not event_times.size:
+            capital = scenario.initial_capital * np.exp(returns)
+        else:
+            after = np.searchsorted(times, event_times, "right") - 1  # post-jump nodes
+            amounts = np.array([e.amount for e in scenario.investments])
+            discounted = amounts * np.exp(-returns[after])
+            bases = np.cumsum(np.append(scenario.initial_capital, discounted))
+            if np.any(bases[1:] <= 0.0):
+                bad = event_times[np.argmax(bases[1:] <= 0.0)]
+                raise DegenerateCapitalError(f"capital nonpositive just after event at t={bad:g}")
+            spans = np.diff(after, prepend=0, append=times.size)
+            capital = np.repeat(bases, spans) * np.exp(returns)
     if not math.isfinite(capital.max()):  # NaN propagates through max
         bad = times[np.argmin(np.isfinite(capital))]
         raise DegenerateCapitalError(f"capital beyond float range at t={bad:g}")
@@ -218,8 +222,9 @@ def expected_values(
     """
     tau = scenario.rotation_length
     _, steps, rates, capital = _segments(scenario, (), intervals)
-    profit = _definite_integral(capital * rates, steps) / tau
-    capitalization = _definite_integral(capital, steps) / tau
+    with np.errstate(over="ignore", invalid="ignore"):  # judged below
+        profit = _definite_integral(capital * rates, steps) / tau
+        capitalization = _definite_integral(capital, steps) / tau
     if not (math.isfinite(profit) and math.isfinite(capitalization)):
         raise DegenerateCapitalError("expected capital is beyond float range")
     if capitalization <= 0.0:

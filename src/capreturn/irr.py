@@ -138,20 +138,14 @@ def _irr_argmax(scenario: GrowthScenario, rotation_grid, intervals: int) -> tupl
 
 
 def _common_step(times: list[float]) -> float:
-    """Greatest step placing every time on an integer grid point."""
+    """Greatest step placing every time on an integer grid point. Every
+    time exceeds ``TIME_TOLERANCE``, and so does every step Euclid takes."""
     if not times:
         raise NoRootError("all events occur at a single instant")
     step = 0.0
     for t in times:
-        t = abs(t)
         while t > TIME_TOLERANCE:
             step, t = t, math.fmod(step, t)
-    if step <= TIME_TOLERANCE:
-        # Euclid collapsed without reaching a usable step: the times are
-        # incommensurable at the stated tolerance.
-        raise DiscretizationError(
-            "event times share no common grid step within tolerance"
-        )
     for t in times:
         if abs(t - round(t / step) * step) > TIME_TOLERANCE:
             raise DiscretizationError(
@@ -252,7 +246,8 @@ def general_irr(schedule: CashFlowSchedule) -> IrrResult:
     if degree == 0:
         raise NoRootError("events collapse to a single grid instant")
 
-    roots = _durand_kerner(coeffs)
+    with np.errstate(all="ignore"):  # a diverging iteration is judged there
+        roots = _durand_kerner(coeffs)
 
     amount_scale = float(np.sum(np.abs(amounts)))
     rates: list[float] = []

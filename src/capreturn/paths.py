@@ -157,31 +157,26 @@ class SinSquaredPath(ReturnPath):
 
 
 @dataclass(frozen=True)
-class TabulatedPath(ReturnPath):
-    """Piecewise-linear rate through ``(time, rate)`` knots.
-
-    Knot times must be strictly increasing; evaluation outside the knot
-    range is an error (no extrapolation).
-    """
+class _KnotTable:
+    """At least two ``knots`` whose first column strictly increases: the
+    rules of :class:`TabulatedPath` and ``estate.TabulatedAgeDensity``,
+    whose ``_what`` and ``_first`` name the table and that column in the
+    messages. Each sets ``__hash__ = _KnotTable.__hash__`` in its body, or
+    its dataclass decorator would generate a hash over the knots."""
 
     knots: tuple[tuple[float, float], ...]
 
     def __post_init__(self):
         if len(self.knots) < 2:
-            raise ValueError("tabulated path needs at least two knots")
-        times, rates = self._knot_arrays
-        if not (np.isfinite(times).all() and np.isfinite(rates).all()):
-            raise ValueError("knot times and rates must be finite")
-        if np.any(np.diff(times) <= 0.0):
-            raise ValueError("knot times must be strictly increasing")
-
-    def domain(self) -> tuple[float, float]:
-        return (self.knots[0][0], self.knots[-1][0])
+            raise ValueError(f"tabulated {self._what} needs at least two knots")
+        first = self._knot_arrays[0]
+        if np.any(first[1:] <= first[:-1]):  # no subtraction, so no inf - inf
+            raise ValueError(f"knot {self._first} must be strictly increasing")
 
     @cached_property
     def _knot_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        times, rates = (np.array(column, dtype=float) for column in zip(*self.knots))
-        return times, rates
+        first, second = (np.array(column, dtype=float) for column in zip(*self.knots))
+        return first, second
 
     @cached_property
     def _hash(self) -> int:
@@ -191,6 +186,26 @@ class TabulatedPath(ReturnPath):
         """The dataclass hash, computed once: it keys the memos of the
         passes over a rotation, and the knots cannot change."""
         return self._hash
+
+
+@dataclass(frozen=True)
+class TabulatedPath(_KnotTable, ReturnPath):
+    """Piecewise-linear rate through ``(time, rate)`` knots.
+
+    Knot times must be strictly increasing; evaluation outside the knot
+    range is an error (no extrapolation).
+    """
+
+    _what, _first = "path", "times"
+    __hash__ = _KnotTable.__hash__
+
+    def __post_init__(self):
+        super().__post_init__()
+        if not all(np.isfinite(column).all() for column in self._knot_arrays):
+            raise ValueError("knot times and rates must be finite")
+
+    def domain(self) -> tuple[float, float]:
+        return (self.knots[0][0], self.knots[-1][0])
 
     def _kinks(self):
         return self._knot_arrays[0][1:-1]

@@ -211,10 +211,20 @@ class TestSweep:
         assert exc.value.code == 2
         assert f"argument {flag}: '{value}' is not a finite number" in capsys.readouterr().err
 
-    def test_tau_steps_capped_before_the_grid_is_built(self, hump_file, capsys):
-        argv = ["sweep", "--scenario", hump_file, "--tau-steps", str(2**20 + 1)]
-        assert main(argv) == 1
-        assert "--tau-steps must be between 2 and 1048576" in capsys.readouterr().err
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            # The cap is checked before the grid is built.
+            (["--tau-steps", str(2**20 + 1)], "--tau-steps must be between 2 and 1048576"),
+            (["--tau-min", "5", "--tau-max", "5"], "need 0 < --tau-min < --tau-max"),
+        ],
+        ids=["tau-steps", "empty-span"],
+    )
+    def test_bad_grid_is_one_error_line(self, hump_file, capsys, flags, message):
+        assert main(["sweep", "--scenario", hump_file, *flags]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [f"capreturn sweep: error: {message}"]
 
 
 class TestOptimize:
@@ -401,11 +411,14 @@ class TestUnreadableInput:
             ("time,amount\n0,-1\n", "schedule needs at least two events"),
             ("time,amount\n-1,-1\n1,2\n", "event times must be nonnegative"),
             ("time,amount\n1,-1\n0,2\n", "event times must be nondecreasing"),
+            ("0,-1\n0,2\n", "all events occur at a single instant"),
+            ("1,-1\n1,1\n", "all amounts cancel; every rate is a root"),
+            ("0,-1\n1,1\n1,-1\n", "events collapse to a single grid instant"),
             ('"' + "x" * 200_000 + '",1\n',
              "malformed CSV: field larger than field limit (131072)"),
         ],
         ids=["cell", "short-row", "time", "one-event", "negative-time", "decreasing",
-             "huge-field"],
+             "one-instant", "cancel", "one-grid-instant", "huge-field"],
     )
     def test_bad_cash_flows(self, tmp_path, capsys, text, message):
         flows = tmp_path / "flows.csv"

@@ -170,11 +170,17 @@ class TestTabulatedAges:
         with pytest.raises(ValueError):
             TabulatedAgeDensity(((0.0, 0.0), (1.0, 0.0)))
 
-    def test_overflowing_mass_rejected(self):
-        # Finite weights whose trapezoid mass overflows would renormalize
-        # the density to zero everywhere.
-        with pytest.raises(ValueError, match="finite"):
-            TabulatedAgeDensity(((0.0, 1e308), (10.0, 1e308)))
+    # Finite weights whose trapezoid mass overflows would renormalize the
+    # density to zero everywhere; zero weight over an infinite age span is
+    # a NaN mass.
+    @pytest.mark.parametrize(
+        "knots",
+        [((0.0, 1e308), (10.0, 1e308)), ((0.0, 0.0), (math.inf, 0.0))],
+        ids=["overflow", "nan"],
+    )
+    def test_non_finite_mass_rejected(self, knots):
+        with pytest.raises(ValueError, match="^density total mass must be finite$"):
+            TabulatedAgeDensity(knots)
 
     @pytest.mark.parametrize(
         "build",
@@ -198,7 +204,6 @@ class TestTabulatedAges:
 
 
 @pytest.mark.parametrize("tau", [88.6, 100.0])
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
 def test_capital_beyond_float_range_is_degenerate(tau):
     estate = EstateSpec(GrowthScenario(1.0, tau, ConstantPath(8.0)), UniformAgeDensity())
     with pytest.raises(DegenerateCapitalError, match="float range"):
@@ -333,6 +338,9 @@ class TestRememberedPass:
         knots = ((0.0, 0.5), (50.0, 1.0), (CYCLE, 0.25))
         built = cls(knots)
         assert hash(built) == hash(plain(knots)) == hash(cls(tuple(map(tuple, knots))))
+        assert hash(built) == hash((built.knots,))
         assert built == cls(knots)
         assert built != cls(knots[:2] + ((CYCLE, 0.3),))
         assert built != plain(knots)
+        other = TabulatedAgeDensity if cls is TabulatedPath else TabulatedPath
+        assert built != other(knots)

@@ -269,7 +269,6 @@ class TestRroc:
     # exp(8 * 100) overflows; at tau = 88.6 the capital stays finite but
     # its integrals do not. Either way rroc would be nan.
     @pytest.mark.parametrize("tau", [88.6, 100.0])
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     def test_capital_beyond_float_range_is_degenerate(self, tau):
         with pytest.raises(DegenerateCapitalError, match="float range"):
             rroc(GrowthScenario(1.0, tau, ConstantPath(8.0)))

@@ -212,6 +212,19 @@ class TestGeneralIrr:
         with pytest.raises(DiscretizationError):
             general_irr(schedule((0.0, -1.0), (1.0, 0.5), (math.sqrt(2.0), 1.0)))
 
+    @pytest.mark.parametrize(
+        "pairs, message",
+        [
+            (((0.0, -1.0), (0.0, 2.0)), "all events occur at a single instant"),
+            (((1.0, -1.0), (1.0, 1.0)), "all amounts cancel; every rate is a root"),
+            (((0.0, -1.0), (1.0, 1.0), (1.0, -1.0)), "events collapse to a single grid instant"),
+        ],
+        ids=["one-instant", "cancel", "one-grid-instant"],
+    )
+    def test_degenerate_schedule_has_no_root(self, pairs, message):
+        with pytest.raises(NoRootError, match=f"^{message}$"):
+            general_irr(schedule(*pairs))
+
     def test_degree_cap_rejected(self):
         with pytest.raises(DiscretizationError):
             general_irr(schedule((0.0, -1.0), (1e-5, 0.5), (1.0, 1.0)))
@@ -233,11 +246,17 @@ class TestGeneralIrr:
             return polyval(*args)
 
         monkeypatch.setattr(np, "polyval", counted)
-        with np.errstate(all="ignore"), pytest.raises(
+        with pytest.raises(
             RootConvergenceError, match=r"root iteration did not converge \(residual nan\)"
         ):
             general_irr(schedule((0.0, -1.0), (1.0, 0.1), (1024.0, 1.5)))
         assert len(calls) < 10
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_diverging_iteration_is_a_typed_error(self):
+        # Overflow inside the iteration is no warning to the caller.
+        with pytest.raises(RootConvergenceError):
+            general_irr(schedule((0.0, -3.0), (1.0, -0.5), (18.0, 0.2), (72.0, 3.0)))
 
 
 @settings(max_examples=30, deadline=None)

@@ -411,7 +411,7 @@ class TestRrocSearch:
     )
     def test_degenerate_capital_raised_by_the_full_pass(self, rroc_calls, scenario):
         grid = np.linspace(1.0, scenario.rotation_length, 10)
-        with pytest.raises(DegenerateCapitalError), np.errstate(over="ignore"):
+        with pytest.raises(DegenerateCapitalError):
             rroe_argmax(scenario, 1.0, 0.02, grid)
         assert rroc_calls == []
 

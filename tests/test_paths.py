@@ -12,6 +12,7 @@ from capreturn import (
     DomainError,
     ReversedPath,
     SinSquaredPath,
+    TabulatedAgeDensity,
     TabulatedPath,
 )
 from oracles import linear_rate_integral, midpoint_integral
@@ -74,13 +75,24 @@ class TestConstruction:
         with pytest.raises(ValueError):
             SinSquaredPath(mean_rate=0.05, shape=0.5, full_cycle=0.0)
 
-    def test_unsorted_knots_rejected(self):
-        with pytest.raises(ValueError):
-            TabulatedPath(((0.0, 0.02), (0.0, 0.04)))
+    # The knot rules and their messages are shared by both knot tables.
+    @pytest.mark.parametrize(
+        "cls, message",
+        [(TabulatedPath, "knot times must be strictly increasing"),
+         (TabulatedAgeDensity, "knot ages must be strictly increasing")],
+    )
+    def test_unsorted_knots_rejected(self, cls, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            cls(((0.0, 0.02), (0.0, 0.04)))
 
-    def test_single_knot_rejected(self):
-        with pytest.raises(ValueError):
-            TabulatedPath(((0.0, 0.02),))
+    @pytest.mark.parametrize(
+        "cls, message",
+        [(TabulatedPath, "tabulated path needs at least two knots"),
+         (TabulatedAgeDensity, "tabulated density needs at least two knots")],
+    )
+    def test_single_knot_rejected(self, cls, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            cls(((0.0, 0.02),))
 
     @pytest.mark.parametrize(
         "build",
@@ -108,6 +120,11 @@ class TestCumulativeReturn:
 
     def test_zero_horizon(self, hump):
         assert hump.cumulative_return(0.0) == 0.0
+
+    def test_runs_forward_only(self):
+        # The constant path's domain admits t = -1; the integral does not.
+        with pytest.raises(DomainError, match="runs forward from time 0"):
+            ConstantPath(0.05).cumulative_return(-1.0)
 
     def test_full_cycle_forced_by_normalization(self, hump):
         assert hump.cumulative_return(CYCLE) == pytest.approx(
