@@ -18,6 +18,7 @@ schedule. Exit status is 0 only when no computation failed.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -81,6 +82,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     )
 
 
+@functools.cache  # parse_args leaves the parser as it found it
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="capreturn",

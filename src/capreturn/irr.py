@@ -9,7 +9,10 @@ schedule, discounting each event continuously and substituting
 ``x = exp(-rate * step)`` turns the zero-value condition into a
 polynomial in ``x``, whose full complex root set is found by
 simultaneous iteration (:func:`general_irr`). Most of those roots carry
-no financial meaning, but all of them exist and all are reported.
+no financial meaning, but all of them exist and all are reported. Each
+step of the iteration evaluates the polynomial in blocks of ``_BLOCK``
+coefficients: one matrix product per step, then Horner's rule across
+the blocks.
 """
 
 from __future__ import annotations
@@ -41,6 +44,8 @@ _MAX_DEGREE = 4096
 _MAX_ITERATIONS = 500
 _MOVEMENT_TOLERANCE = 1e-12
 _START_SEED = 0
+# Coefficients per row of the blocked polynomial evaluation.
+_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -154,28 +159,71 @@ def _common_step(times: list[float]) -> float:
     return step
 
 
+def _coefficient_rows(coeffs: np.ndarray) -> np.ndarray:
+    """Real ascending ``coeffs`` as rows of ``min(_BLOCK, len(coeffs))``,
+    zero-padded at the top: row ``j`` holds the coefficients of
+    ``x**(j*width)`` up to ``x**(j*width + width - 1)``."""
+    width = min(_BLOCK, len(coeffs))
+    rows = np.zeros((-(-len(coeffs) // width), width))
+    rows.flat[: len(coeffs)] = coeffs
+    return rows
+
+
+def _evaluate(rows: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The polynomial with coefficient ``rows`` at every ``x``, and its
+    rounding scale, the same sum over ``|coefficients|`` at ``|x|``.
+
+    One ``width x len(x)`` matrix holds the powers ``x**0 .. x**(width-1)``;
+    one matrix product sums every row of coefficients against it, and
+    Horner's rule in ``x**width`` combines the row sums.
+    """
+    width = rows.shape[1]
+    powers = np.empty((width, len(x)), dtype=complex)
+    powers[0] = 1.0
+    powers[1:] = x
+    np.cumprod(powers, axis=0, out=powers)
+    # Real rows times the real and imaginary parts side by side: a real
+    # matrix product, half the work of a complex one.
+    values = _horner((rows @ powers.view(float)).view(complex), powers[-1] * x)
+    # The scale sums positive terms, whose rounding does not cancel, so its
+    # step is one rounded power rather than the running product.
+    magnitudes = np.abs(powers)
+    scale = _horner(np.abs(rows) @ magnitudes, np.abs(x) ** width)
+    return values, scale
+
+
+def _horner(row_sums: np.ndarray, step: np.ndarray) -> np.ndarray:
+    """``sum(row_sums[j] * step**j)`` by Horner's rule."""
+    total = row_sums[-1]
+    for row in row_sums[-2::-1]:
+        total = total * step + row
+    return total
+
+
 def _durand_kerner(coeffs: np.ndarray) -> np.ndarray:
     """All complex roots of a polynomial by simultaneous iteration.
 
-    ``coeffs`` are ascending powers. Starts from a ring with a seeded
-    random phase and updates every root estimate at once; stops when
+    ``coeffs`` are real, in ascending powers. Starts from a ring with a
+    seeded random phase and updates every root estimate at once; stops when
     estimates stop moving or the polynomial values are at rounding level
     relative to their own magnitude scale. A NaN estimate makes every
     estimate NaN on the next step, so the iteration gives up at once.
+
+    Each step evaluates the polynomial by :func:`_evaluate` on the
+    coefficients split once into rows of at most ``_BLOCK``. A solve of
+    degree ``n`` allocates the ``n x n`` matrix of root differences and
+    a ``_BLOCK x n`` matrix of powers.
     """
-    monic = np.asarray(coeffs, dtype=complex) / coeffs[-1]
-    degree = len(monic) - 1
-    descending = monic[::-1]
-    magnitude_scale = np.abs(descending)
+    rows = _coefficient_rows(coeffs) * (1.0 / coeffs[-1])  # monic
+    degree = len(coeffs) - 1
 
     rng = np.random.default_rng(_START_SEED)
-    radius = 1.0 + float(np.max(np.abs(monic[:-1])))
+    radius = 1.0 + float(np.max(np.abs(rows.ravel()[:degree])))
     angles = 2.0 * np.pi * (np.arange(degree) + rng.uniform(0.1, 0.9)) / degree
     roots = radius * np.exp(1j * angles)
 
     for _ in range(_MAX_ITERATIONS):
-        values = np.polyval(descending, roots)
-        scale = np.polyval(magnitude_scale, np.abs(roots))
+        values, scale = _evaluate(rows, roots)
         if np.all(np.abs(values) <= 1e-14 * scale):
             return roots
         diffs = roots[:, None] - roots[None, :]
@@ -186,7 +234,7 @@ def _durand_kerner(coeffs: np.ndarray) -> np.ndarray:
             break
         if float(np.max(np.abs(steps))) < _MOVEMENT_TOLERANCE:
             return roots
-    worst = float(np.max(np.abs(np.polyval(descending, roots))))
+    worst = float(np.max(np.abs(_evaluate(rows, roots)[0])))
     raise RootConvergenceError("root iteration did not converge", worst)
 
 

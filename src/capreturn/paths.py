@@ -23,7 +23,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DegenerateCapitalError, DomainError
 from .quadrature import DEFAULT_INTERVALS, _definite_integral, _grid
 
 # Slack applied to domain checks so grid endpoints produced by float
@@ -86,6 +86,10 @@ class ReturnPath:
 
         Computed by composite Simpson quadrature of about ``intervals``
         subintervals over ``[0, t]``, cut at the path's kinks.
+
+        Raises:
+            DomainError: if ``[0, t]`` leaves the path domain.
+            DegenerateCapitalError: if the integral is beyond float range.
         """
         _require_within("span", (0.0, t), "path domain", self.domain())
         if t < 0.0:
@@ -94,7 +98,11 @@ class ReturnPath:
         if upper <= 0.0:
             return 0.0
         ts, steps = _grid(0.0, upper, self._kinks(), intervals)
-        return _definite_integral(self._clipped_rates(ts), steps)
+        with np.errstate(over="ignore", invalid="ignore"):  # judged below
+            total = _definite_integral(self._clipped_rates(ts), steps)
+        if not math.isfinite(total):
+            raise DegenerateCapitalError(f"cumulative return to t={t:g} is beyond float range")
+        return total
 
     def time_average_rate(self, horizon: float, *, intervals: int = DEFAULT_INTERVALS) -> float:
         """Average spot rate over ``[0, horizon]``, per year.
@@ -102,6 +110,8 @@ class ReturnPath:
         Raises:
             ValueError: if ``horizon`` is not strictly positive.
             DomainError: if ``horizon`` exceeds the path domain.
+            DegenerateCapitalError: if the cumulative return is beyond
+                float range.
         """
         if horizon <= 0.0:
             raise ValueError("averaging horizon must be > 0")

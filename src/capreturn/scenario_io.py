@@ -45,6 +45,8 @@ import math
 from dataclasses import MISSING, dataclass, fields
 from collections.abc import Sequence
 
+import numpy as np
+
 from .errors import DomainError, NoRootError, ScenarioParseError, ScenarioValidationError
 from .estate import AgeDensity, EstateSpec, TabulatedAgeDensity, UniformAgeDensity
 from .growth import GrowthScenario, InvestmentEvent
@@ -180,6 +182,21 @@ def _parse_knots(obj, check: _Check, path: str) -> tuple[tuple[float, float], ..
     if not isinstance(obj, list):
         check.fail(path, "must be a list of [time, value] pairs")
         return None
+    # One pass over the cell types, one array and one finiteness check; the
+    # cells are walked one by one below only to name a failure. A bool's
+    # type is not int, so it takes the walk.
+    if all(
+        type(pair) is list and len(pair) == 2
+        and type(pair[0]) in (int, float) and type(pair[1]) in (int, float)
+        for pair in obj
+    ):
+        try:
+            cells = np.array(obj, dtype=float)
+        except OverflowError:  # an integer beyond float range
+            pass
+        else:
+            if np.isfinite(cells).all():
+                return tuple(map(tuple, cells.tolist()))
     knots = []
     ok = True
     for i, pair in enumerate(obj):

@@ -200,6 +200,18 @@ class TestSweep:
         assert len(err) == 1
         assert "error: " in err[0] and "float range" in err[0]
 
+    def test_rate_beyond_float_range_is_one_error_line(self, tmp_path, capsys):
+        doc = tmp_path / "huge.json"
+        doc.write_text(json.dumps(
+            {"K0": 1, "tau": 10, "path": {"kind": "constant", "rate": 1e308}}
+        ))
+        assert main(["sweep", "--scenario", str(doc), "--metrics", "irr"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "capreturn sweep: error: at tau=0.05: "
+            "cumulative return to t=0.05 is beyond float range"
+        ]
 
     @pytest.mark.parametrize("flag", ["--d", "--u", "--L", "--tau-min", "--tau-max"])
     @pytest.mark.parametrize("value", ["nan", "inf"])
@@ -450,6 +462,33 @@ def test_an_untyped_error_is_not_reported_as_input_error(hump_file, monkeypatch)
     monkeypatch.setattr(cli, "_cmd_sweep", broken)
     with pytest.raises(ValueError, match="not an input error"):
         main(["sweep", "--scenario", hump_file])
+
+
+def test_parser_is_reused_unchanged(hump_file, capsys):
+    # The parser is built once per process. Calls through it print what
+    # calls through a fresh one print, after an argparse error too, and
+    # an appended flag does not carry over to the next call.
+    runs = [
+        ["sweep", "--scenario", hump_file, "--tau-steps", "3", "--metrics", "npv", "--d", "0.03"],
+        ["sweep", "--scenario", hump_file, "--d", "nan"],
+        ["sweep", "--scenario", hump_file, "--tau-steps", "3", "--metrics", "npv", "--d", "0.05"],
+    ]
+
+    def run(argv):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    fresh = []
+    for argv in runs:
+        cli._build_parser.cache_clear()
+        fresh.append(run(argv))
+    assert [code for code, _, _ in fresh] == [0, 2, 0]
+    assert [run(argv) for argv in runs] == fresh
+    assert cli._build_parser() is cli._build_parser()
 
 
 class TestIrrCommand:

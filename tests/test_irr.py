@@ -25,7 +25,8 @@ from capreturn import (
     rroc,
     with_rotation,
 )
-from capreturn.irr import _irr_argmax
+from capreturn import irr as irr_module
+from capreturn.irr import _coefficient_rows, _evaluate, _irr_argmax
 from oracles import bisect_root, real_roots_by_scan, refine_argmax
 
 MEAN, SHAPE, CYCLE = 0.05, 0.5, 100.0
@@ -239,13 +240,13 @@ class TestGeneralIrr:
         # Degree 1024 overflows the pairwise products at once; every
         # estimate is NaN from then on, so iterating longer is waste.
         calls = []
-        polyval = np.polyval
+        evaluate = irr_module._evaluate
 
         def counted(*args):
             calls.append(args)
-            return polyval(*args)
+            return evaluate(*args)
 
-        monkeypatch.setattr(np, "polyval", counted)
+        monkeypatch.setattr(irr_module, "_evaluate", counted)
         with pytest.raises(
             RootConvergenceError, match=r"root iteration did not converge \(residual nan\)"
         ):
@@ -257,6 +258,55 @@ class TestGeneralIrr:
         # Overflow inside the iteration is no warning to the caller.
         with pytest.raises(RootConvergenceError):
             general_irr(schedule((0.0, -3.0), (1.0, -0.5), (18.0, 0.2), (72.0, 3.0)))
+
+
+@pytest.mark.parametrize("degree", [1, 63, 64, 65, 128, 256, 4096])
+def test_blocked_evaluation_matches_horner(degree):
+    # Degrees on both sides of the 64-coefficient row edges. |x| stays
+    # below 1.1, so x**4096 keeps within float range.
+    rng = np.random.default_rng(degree)
+    coeffs = rng.normal(size=degree + 1)
+    x = rng.uniform(0.5, 1.1, 300) * np.exp(2j * np.pi * rng.uniform(size=300))
+    values, scale = _evaluate(_coefficient_rows(coeffs), x)
+    expected_scale = np.polyval(np.abs(coeffs[::-1]), np.abs(x))
+    assert np.all(np.abs(values - np.polyval(coeffs[::-1], x)) <= 1e-13 * expected_scale)
+    assert np.all(np.abs(scale - expected_scale) <= 1e-13 * expected_scale)
+
+
+def _seeded_schedule(seed):
+    """Amounts of either sign at 3-21 instants of a year grid of degree
+    8-60, starting at time 0: zero to several sign changes, so zero to
+    several real rates."""
+    rng = np.random.default_rng(seed)
+    degree = int(rng.integers(8, 61))
+    middle = rng.choice(np.arange(1, degree), int(rng.integers(1, min(19, degree - 1) + 1)),
+                        replace=False)
+    times = [0, *sorted(middle.tolist()), degree]
+    amounts = rng.normal(size=len(times))
+    amounts[0], amounts[-1] = -abs(amounts[0]), abs(amounts[-1])
+    return schedule(*zip(map(float, times), map(float, amounts)))
+
+
+@pytest.mark.parametrize("seed", range(50))
+def test_real_roots_match_companion_eigenvalues(seed):
+    sched = _seeded_schedule(seed)
+    result = general_irr(sched)
+    times = np.array([e.time for e in sched.events])
+    exponents = np.rint(times / result.base_step).astype(int)
+    coeffs = np.zeros(exponents[-1] + 1)
+    np.add.at(coeffs, exponents, [e.amount for e in sched.events])
+    assert result.degree == len(coeffs) - 1
+    x = np.roots(coeffs[::-1])
+    x = x[(np.abs(x.imag) <= 1e-8 * (1.0 + np.abs(x))) & (x.real > 0.0)].real
+    rates = -np.log(x) / result.base_step
+    # Every reported rate is a real eigenvalue of the companion matrix.
+    for rate in result.all_real_roots:
+        assert np.min(np.abs(rates - rate)) < 1e-8
+    # Every real eigenvalue is reported where no amount is discounted up
+    # by more than 1e4: there the residual can meet its tolerance, a
+    # fraction of sum(|C_k|).
+    for rate in rates[rates * times[-1] > -math.log(1e4)]:
+        assert np.min(np.abs(np.subtract(result.all_real_roots, rate))) < 1e-8
 
 
 @settings(max_examples=30, deadline=None)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from capreturn import (
     ConstantPath,
+    DegenerateCapitalError,
     DomainError,
     ReversedPath,
     SinSquaredPath,
@@ -164,6 +165,21 @@ class TestCumulativeReturn:
         coarse = hump.cumulative_return(73.0, intervals=4096)
         fine = hump.cumulative_return(73.0, intervals=8192)
         assert abs(coarse - fine) < 1e-8 * max(1.0, abs(fine))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: ConstantPath(1e308).time_average_rate(10.0),
+            lambda: TabulatedPath(((0.0, 1e308), (1.0, -1e308))).cumulative_return(1.0),
+        ],
+        ids=["constant-average", "tabulated-integral"],
+    )
+    def test_sum_beyond_float_range_is_degenerate(self, call):
+        # The Simpson sum overflows; no inf is returned and no numpy
+        # warning reaches the caller.
+        with pytest.raises(DegenerateCapitalError, match="is beyond float range$"):
+            call()
 
 
 class TestTimeAverage:
