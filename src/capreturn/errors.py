@@ -62,10 +62,12 @@ class ScenarioValidationError(CapReturnError, ValueError):
     """Scenario document violates one or more invariants.
 
     ``violations`` holds ``(key_path, message)`` pairs, one per failed
-    invariant, so callers see every problem at once.
+    invariant, so callers see every problem at once. A violation of the
+    document as a whole has the empty key path, and its message is shown
+    alone.
     """
 
     def __init__(self, violations: list[tuple[str, str]]):
         self.violations = list(violations)
-        lines = "; ".join(f"{path}: {msg}" for path, msg in self.violations)
+        lines = "; ".join(f"{path}: {msg}" if path else msg for path, msg in self.violations)
         super().__init__(f"invalid scenario document: {lines}")

@@ -91,22 +91,10 @@ def _exp(x: float) -> float:
         raise DegenerateCapitalError(f"growth factor exp({x:.6g}) is beyond float range") from None
 
 
-def _cycle_average(scenario: GrowthScenario, intervals: int) -> float:
-    """Time-average spot rate over the rotation: all that the closed forms
-    (IRR, present values, break-even rate) take from the path, since
-    without intermediate events they depend on it through nothing else.
-
-    Raises:
-        UnsupportedScheduleError: if the scenario has investment events.
-    """
-    _require_investment_free(scenario)
-    return scenario.path.time_average_rate(scenario.rotation_length, intervals=intervals)
-
-
 def _cycle_averages(scenario: GrowthScenario, cuts, intervals: int):
     """The nodes after time 0 of one Simpson pass over the rotation, cut at
-    path kinks and ``cuts``, and ``_cycle_average`` of the rotation ending
-    at each. No capital is built, so nothing overflows."""
+    path kinks and ``cuts``, and the time-average rate (the IRR) of the
+    rotation ending at each. No capital is built, so nothing overflows."""
     _require_investment_free(scenario)
     all_cuts = np.concatenate((scenario.path._kinks(), cuts))
     times, steps = _grid(0.0, scenario.rotation_length, all_cuts, intervals)

@@ -27,7 +27,7 @@ from .errors import (
     NoRootError,
     RootConvergenceError,
 )
-from .growth import GrowthScenario, _cycle_average, _cycle_averages
+from .growth import GrowthScenario, _cycle_averages, _require_investment_free
 from .optimize import _first_order_argmax, _rounding
 from .quadrature import DEFAULT_INTERVALS
 
@@ -35,7 +35,9 @@ from .quadrature import DEFAULT_INTERVALS
 TIME_TOLERANCE = 1e-9
 
 #: Reported real roots must satisfy |sum(C_k * exp(-rate*t_k))| below
-#: this fraction of sum(|C_k|).
+#: this fraction of the larger of sum(|C_k|) and sum(|C_k| * exp(-rate*t_k)):
+#: at a strongly negative rate the discounted terms, and their rounding,
+#: far exceed the amounts themselves.
 RESIDUAL_TOLERANCE = 1e-8
 
 # Largest polynomial degree solved; it sizes the coefficient array.
@@ -91,13 +93,15 @@ class IrrResult:
     """All rates solving the zero-discounted-value condition.
 
     ``all_real_roots`` holds the real per-year rates in increasing
-    order, with ``residuals`` aligned. ``principal_root`` is the real
-    root of smallest magnitude (ties to the positive one), or ``None``
-    when every root is complex. ``complex_root_count`` counts the
-    remaining roots, so real plus complex equals ``degree``, the degree
-    of the discretized polynomial after common factors of ``x`` are
-    removed. ``base_step`` is the grid step (years) used for the
-    substitution ``x = exp(-rate * base_step)``.
+    order, with ``residuals`` aligned: the absolute discounted value at
+    each rate, below ``RESIDUAL_TOLERANCE`` times the larger of the
+    amounts' total magnitude and their discounted total magnitude at that
+    rate. ``principal_root`` is the real root of smallest magnitude (ties
+    to the positive one), or ``None`` when every root is complex.
+    ``complex_root_count`` counts the remaining roots, so real plus
+    complex equals ``degree``, the degree of the discretized polynomial
+    after common factors of ``x`` are removed. ``base_step`` is the grid
+    step (years) used for the substitution ``x = exp(-rate * base_step)``.
     """
 
     principal_root: float | None
@@ -115,14 +119,17 @@ def growth_cycle_irr(
 
     Buying the cycle at its starting capital and selling at its terminal
     capital breaks even under continuous discounting exactly at the
-    time-average spot rate, which this returns.
+    time-average spot rate, which this returns. It is all that the closed
+    forms (present values, break-even rate) take from the path, since
+    without intermediate events they depend on it through nothing else.
 
     Raises:
         UnsupportedScheduleError: if the scenario has intermediate
             investment events (convert those to a cash-flow schedule and
             use :func:`general_irr` instead).
     """
-    return _cycle_average(scenario, intervals)
+    _require_investment_free(scenario)
+    return scenario.path.time_average_rate(scenario.rotation_length, intervals=intervals)
 
 
 def _irr_argmax(scenario: GrowthScenario, rotation_grid, intervals: int) -> tuple[float, float]:
@@ -304,7 +311,8 @@ def general_irr(schedule: CashFlowSchedule) -> IrrResult:
         if abs(x.imag) > 1e-8 * (1.0 + abs(x)) or x.real <= 0.0:
             continue
         rate, residual = _polish_rate(times, amounts, -math.log(x.real) / step)
-        if residual < RESIDUAL_TOLERANCE * amount_scale:
+        discounted_scale = float(np.sum(np.abs(amounts) * np.exp(-rate * times)))
+        if residual < RESIDUAL_TOLERANCE * max(amount_scale, discounted_scale):
             rates.append(rate)
             residuals.append(residual)
 

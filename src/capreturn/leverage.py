@@ -16,7 +16,8 @@ from collections.abc import Sequence
 import numpy as np
 
 from .errors import InvalidLeverageError, WipedOutEquityError
-from .growth import GrowthScenario, _cycle_average, _exp, _segments, rroc
+from .growth import GrowthScenario, _exp, _segments, rroc
+from .irr import growth_cycle_irr
 from .memo import remember_latest
 from .optimize import _first_order_argmax, _rounding
 from .quadrature import DEFAULT_INTERVALS, cumulative_simpson_nodes
@@ -81,7 +82,7 @@ def leveraged_discount_rate(
     """
     _require_leverage(leverage)
     tau = scenario.rotation_length
-    avg = _cycle_average(scenario, intervals)
+    avg = growth_cycle_irr(scenario, intervals=intervals)
     inner = 1.0 + leverage * (1.0 - _exp(-tau * (avg - market_rate)))
     if inner <= 0.0:
         raise WipedOutEquityError(

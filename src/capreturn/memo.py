@@ -12,31 +12,20 @@ import functools
 
 
 def remember_latest(fn):
-    """Decorate ``fn`` so that a call with positional arguments equal to
-    those of the latest remembered call returns that call's result.
+    """Decorate ``fn`` with ``functools.lru_cache(maxsize=1)``, except
+    that a call with an unhashable positional argument is computed afresh.
 
-    The wrapper hashes the arguments once per call. ``cache_clear()``
-    forgets the remembered call; ``__wrapped__`` is ``fn``.
+    ``cache_clear()`` forgets the remembered call; ``__wrapped__`` is ``fn``.
     """
-    latest = None  # (hash, args, result)
+    cached = functools.lru_cache(maxsize=1)(fn)
 
     @functools.wraps(fn)
     def remembered(*args):
-        nonlocal latest
         try:
-            key = hash(args)
+            hash(args)
         except TypeError:  # an argument that may change: compute afresh
             return fn(*args)
-        entry = latest
-        if entry is not None and entry[0] == key and entry[1] == args:
-            return entry[2]
-        result = fn(*args)
-        latest = (key, args, result)
-        return result
+        return cached(*args)
 
-    def cache_clear():
-        nonlocal latest
-        latest = None
-
-    remembered.cache_clear = cache_clear
+    remembered.cache_clear = cached.cache_clear
     return remembered

@@ -409,9 +409,10 @@ def _format_cell(cell) -> str:
 def read_cash_flow_csv(text: str) -> CashFlowSchedule:
     """Cash-flow schedule from CSV rows of ``time,amount``.
 
-    A header is skipped when the first row that is not blank has a first
-    cell that is not numeric. Messages name rows by their line in the
-    text, blank rows counted.
+    One leading byte-order mark (U+FEFF) is ignored. A header is skipped
+    when the first row that is not blank has a first cell that is not
+    numeric. Messages name rows by their line in the text, blank rows
+    counted.
 
     Raises:
         ScenarioParseError: malformed CSV, a row that cannot be read (the
@@ -420,7 +421,7 @@ def read_cash_flow_csv(text: str) -> CashFlowSchedule:
         NoRootError: the amounts have no sign change.
     """
     try:
-        rows = list(csv.reader(io.StringIO(text)))
+        rows = list(csv.reader(io.StringIO(text.removeprefix("\ufeff"))))
     except csv.Error as exc:
         raise ScenarioParseError(f"malformed CSV: {exc}") from None
     # (line number, row) of every row that is not blank

@@ -8,10 +8,12 @@ the rotation's terminal value with the equity holder's share after the
 loan and its compounded interest are repaid at the rotation end.
 
 Without intermediate investments every value here depends on the path
-only through its time-average rate over the rotation: each public
-function takes that one average over the scenario's own rotation and
-evaluates a closed form of ``(K0, average rate, tau, d, u, L)``. To value
-another rotation of the same path, pass ``with_rotation(scenario, tau)``.
+only through its time-average rate over the rotation, which is the IRR:
+each public function takes that one number from
+:func:`~capreturn.irr.growth_cycle_irr` over the scenario's own rotation
+and evaluates a closed form of ``(K0, average rate, tau, d, u, L)``. To
+value another rotation of the same path, pass
+``with_rotation(scenario, tau)``.
 """
 
 from __future__ import annotations
@@ -21,7 +23,8 @@ import math
 import numpy as np
 
 from .errors import DegenerateCapitalError, IndeterminateRatioError, InvalidDiscountError
-from .growth import GrowthScenario, _cycle_average, _cycle_averages, _exp
+from .growth import GrowthScenario, _cycle_averages, _exp
+from .irr import growth_cycle_irr
 from .leverage import _require_leverage
 from .optimize import _first_order_argmax, _rounding
 from .quadrature import DEFAULT_INTERVALS
@@ -74,7 +77,7 @@ def npv(
             float range.
     """
     _require_discount(discount_rate)
-    avg = _cycle_average(scenario, intervals)
+    avg = growth_cycle_irr(scenario, intervals=intervals)
     return _npv(scenario.initial_capital, avg, scenario.rotation_length, discount_rate)
 
 
@@ -97,7 +100,7 @@ def _npv_argmax(
         return times, np.expm1(gain) / factor, rounding
 
     def objective(rotation: GrowthScenario) -> tuple[float, float]:
-        avg, tau = _cycle_average(rotation, intervals), rotation.rotation_length
+        avg, tau = growth_cycle_irr(rotation, intervals=intervals), rotation.rotation_length
         threshold = discount_rate * (1.0 - _exp(-tau * avg)) / -math.expm1(-discount_rate * tau)
         return _npv(rotation.initial_capital, avg, tau, discount_rate), threshold
 
@@ -125,7 +128,7 @@ def leveraged_npv(
     """
     _require_discount(discount_rate)
     _require_leverage(leverage)
-    avg = _cycle_average(scenario, intervals)
+    avg = growth_cycle_irr(scenario, intervals=intervals)
     return _leveraged_npv(
         scenario.initial_capital, avg, scenario.rotation_length,
         discount_rate, market_rate, leverage,
@@ -158,7 +161,7 @@ def leverage_npv_ratio(
     _require_discount(discount_rate)
     _require_leverage(leverage)
     tau = scenario.rotation_length
-    avg = _cycle_average(scenario, intervals)
+    avg = growth_cycle_irr(scenario, intervals=intervals)
     k0 = scenario.initial_capital
     base = _npv(k0, avg, tau, discount_rate)
     growth_term = _exp(tau * avg)

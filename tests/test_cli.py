@@ -214,7 +214,7 @@ class TestSweep:
         ]
 
     @pytest.mark.parametrize("flag", ["--d", "--u", "--L", "--tau-min", "--tau-max"])
-    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "abc"])
     def test_non_finite_flag_rejected(self, hump_file, capsys, flag, value):
         argv = ["sweep", "--scenario", hump_file, "--metrics", "npv,rroe",
                 "--d", "0.03", "--u", "0.02", flag, value]
@@ -514,6 +514,27 @@ class TestIrrCommand:
         assert format(math.log(1.1), ".9g") in out
         assert format(math.log(1.2), ".9g") in out
         assert "residual" in out
+
+    def test_no_real_root_printed(self, tmp_path, capsys):
+        flows = tmp_path / "flows.csv"
+        flows.write_text("0,-1\n1,2\n2,-1.5\n")
+        assert main(["irr", "--cashflows", str(flows)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert "complex     : 2" in lines
+        assert "principal   : none (no real root)" in lines
+        assert not any(line.startswith("real root") for line in lines)
+
+    def test_leading_byte_order_mark_is_ignored(self, tmp_path, capsys):
+        rows = "0,-1\n1,0.5\n2,0.7\n3,-0.1\n"
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        plain.write_text(rows, encoding="utf-8")
+        marked.write_text("\ufeff" + rows, encoding="utf-8")
+        assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+        assert main(["irr", "--cashflows", str(plain)]) == 0
+        expected = capsys.readouterr().out
+        assert main(["irr", "--cashflows", str(marked)]) == 0
+        assert capsys.readouterr().out == expected
+        assert "principal   : 0.0656323183" in expected
 
     def test_all_positive_fails(self, tmp_path, capsys):
         flows = tmp_path / "flows.csv"

@@ -226,6 +226,13 @@ class TestGeneralIrr:
         with pytest.raises(NoRootError, match=f"^{message}$"):
             general_irr(schedule(*pairs))
 
+    def test_time_off_the_common_step_is_named(self):
+        with pytest.raises(
+            DiscretizationError,
+            match=r"^event time 1 is not a multiple of the base step 1e-08$",
+        ):
+            general_irr(schedule((0.0, -1.0), (3e-8, 0.5), (1.0, 1.0)))
+
     def test_degree_cap_rejected(self):
         with pytest.raises(DiscretizationError):
             general_irr(schedule((0.0, -1.0), (1e-5, 0.5), (1.0, 1.0)))
@@ -302,10 +309,9 @@ def test_real_roots_match_companion_eigenvalues(seed):
     # Every reported rate is a real eigenvalue of the companion matrix.
     for rate in result.all_real_roots:
         assert np.min(np.abs(rates - rate)) < 1e-8
-    # Every real eigenvalue is reported where no amount is discounted up
-    # by more than 1e4: there the residual can meet its tolerance, a
-    # fraction of sum(|C_k|).
-    for rate in rates[rates * times[-1] > -math.log(1e4)]:
+    # Every real eigenvalue is reported, strongly negative rates too: the
+    # residual's tolerance scales with the discounted amounts there.
+    for rate in rates:
         assert np.min(np.abs(np.subtract(result.all_real_roots, rate))) < 1e-8
 
 

@@ -199,6 +199,16 @@ class TestParse:
         with pytest.raises(ScenarioValidationError) as err:
             parse_scenario(with_intervals(MAX_INTERVALS + 1))
         assert err.value.violations == [("quadrature_intervals", "must be <= 1048576")]
+        with pytest.raises(ScenarioValidationError) as err:
+            parse_scenario(with_intervals(1))
+        assert err.value.violations == [("quadrature_intervals", "must be >= 2")]
+
+    @pytest.mark.parametrize("text", ["[]", "1", '"K0"', "null"])
+    def test_document_that_is_no_object_has_no_key_path(self, text):
+        with pytest.raises(ScenarioValidationError) as err:
+            parse_scenario(text)
+        assert err.value.violations == [("", "document must be a JSON object")]
+        assert str(err.value) == "invalid scenario document: document must be a JSON object"
 
     @pytest.mark.parametrize(
         "section, message",
@@ -430,6 +440,12 @@ class TestCashFlowCsv:
     def test_without_header(self):
         sched = read_cash_flow_csv("0,-1\n1,1\n")
         assert [e.time for e in sched.events] == [0.0, 1.0]
+
+    @pytest.mark.parametrize("header", ["", "time,amount\n"], ids=["headerless", "header"])
+    def test_leading_byte_order_mark_is_ignored(self, header):
+        rows = header + "0,-1\n1,0.5\n2,0.7\n3,-0.1\n"
+        assert read_cash_flow_csv("\ufeff" + rows) == read_cash_flow_csv(rows)
+        assert len(read_cash_flow_csv("\ufeff" + rows).events) == 4
 
     def test_header_after_blank_lines(self):
         sched = read_cash_flow_csv("\n , \ntime,amount\n0,-1\n1,1.1\n")
