@@ -61,11 +61,16 @@ class ReturnPath:
         grids cut there."""
         return ()
 
-    def _clipped_rates(self, ts: np.ndarray) -> np.ndarray:
-        """Rates at ``ts`` moved into the domain, which absorbs the slack
-        the domain checks allow."""
+    def _clipped_rates(self, nodes: np.ndarray) -> np.ndarray:
+        """Rates at the nodes of a quadrature grid moved into the domain,
+        which absorbs the slack the domain checks allow. Every node of a
+        grid lies between its first and its last, so the nodes are clipped
+        only when one of those two lies outside the domain: otherwise the
+        clip would return them unchanged. ``evaluate`` clips any array."""
         lo, hi = self.domain()
-        return self._rates(np.clip(ts, lo, hi))
+        if not (lo <= nodes[0] <= hi and lo <= nodes[-1] <= hi):
+            nodes = np.clip(nodes, lo, hi)
+        return self._rates(nodes)
 
     def evaluate(self, t):
         """Spot return rate at time ``t`` (scalar or ndarray), per year.
@@ -74,9 +79,10 @@ class ReturnPath:
             DomainError: if any requested time lies outside the domain.
         """
         ts = np.asarray(t, dtype=float)
+        lo, hi = self.domain()
         if ts.size:
-            _require_within("times", (np.min(ts), np.max(ts)), "path domain", self.domain())
-        out = self._clipped_rates(ts)
+            _require_within("times", (np.min(ts), np.max(ts)), "path domain", (lo, hi))
+        out = self._rates(np.clip(ts, lo, hi))
         if ts.ndim == 0:
             return float(out)
         return out
@@ -220,8 +226,22 @@ class TabulatedPath(_KnotTable, ReturnPath):
     def _kinks(self):
         return self._knot_arrays[0][1:-1]
 
+    @cached_property
+    def _interp_scale(self) -> float:
+        """1, or the largest knot rate in magnitude where a slope between
+        knots is beyond float range: np.interp would give inf between
+        them, so it interpolates the rates divided by this instead."""
+        times, rates = self._knot_arrays
+        with np.errstate(over="ignore", invalid="ignore"):
+            slopes_fit = np.isfinite(np.diff(rates) / np.diff(times)).all()
+        return 1.0 if slopes_fit else float(np.abs(rates).max())
+
     def _rates(self, ts: np.ndarray) -> np.ndarray:
-        return np.interp(ts, *self._knot_arrays)
+        times, rates = self._knot_arrays
+        scale = self._interp_scale
+        if scale == 1.0:
+            return np.interp(ts, times, rates)
+        return np.interp(ts, times, rates / scale) * scale
 
 
 @dataclass(frozen=True)
@@ -244,4 +264,12 @@ class ReversedPath(ReturnPath):
         return self.horizon - np.asarray(self.inner._kinks(), dtype=float)
 
     def _rates(self, ts: np.ndarray) -> np.ndarray:
-        return self.inner._clipped_rates(self.horizon - ts)
+        # Called with times inside the domain [h - hi, h - lo], where [lo, hi]
+        # is the inner domain: horizon - ts lies in [h - (h - lo), h - (h - hi)]
+        # and leaves [lo, hi] only where those subtractions round outward.
+        lo, hi = self.inner.domain()
+        h = self.horizon
+        times = h - ts
+        if not (lo <= h - (h - lo) and h - (h - hi) <= hi):
+            times = np.clip(times, lo, hi)
+        return self.inner._rates(times)

@@ -6,9 +6,13 @@ piece between two cuts gets uniform nodes, an even count of at least 2
 intervals in proportion to its share of the span, so no step exceeds
 that of a uniform grid over the whole span. Neighbouring pieces
 share the node at their cut, so panel ``k`` covers nodes ``2k .. 2k+2``
-and no panel straddles a cut. :func:`_definite_integral` integrates over
-the grid and :func:`cumulative_simpson_nodes` gives the running integral
-at every node.
+and no panel straddles a cut. A span with no cut inside is one piece,
+whose nodes are those of ``np.linspace`` bit for bit, built in place
+from ``np.arange`` with linspace's own arithmetic.
+:func:`_definite_integral` integrates over the grid and
+:func:`cumulative_simpson_nodes` gives the running integral at every
+node. Where finite samples overflow a sum whose value fits in a float,
+the sum is taken again over the samples scaled to magnitude at most 1.
 
 Within a piece the error falls as ``h**4`` with the integrand's fourth
 derivative, far inside the package-wide 1e-8 target for the smooth paths
@@ -33,15 +37,26 @@ def _grid(start: float, end: float, cuts, intervals: int):
     Returns ``(nodes, steps)``: the node times and the step of each
     panel, a single float when the span is one piece.
     """
-    cuts = np.asarray(cuts, dtype=float)
-    inner = cuts[(cuts > start) & (cuts < end)]
+    inner = np.asarray(cuts, dtype=float)
+    if inner.size:
+        inner = inner[(inner > start) & (inner < end)]
     if not inner.size:
-        # One piece, as on every smooth path. The general build below gives
-        # the same nodes, but its small-array work made `sweep` (eight
-        # one-piece grids per row) about a third slower end to end.
+        # One piece, as on every smooth path. The nodes are built with
+        # numpy's own linspace arithmetic, in place, so they equal
+        # np.linspace(start, end, n + 1) bit for bit at a fraction of its
+        # cost: `sweep` builds eight one-piece grids per row.
         n = max(2, math.ceil(intervals))
         n += n % 2
-        return np.linspace(start, end, n + 1), (end - start) / n
+        step = (end - start) / n
+        nodes = np.arange(n + 1, dtype=float)
+        if step:
+            nodes *= step
+        else:  # a span of a few denormals, which linspace scales as a whole
+            nodes /= n
+            nodes *= end - start
+        nodes += start
+        nodes[-1] = end
+        return nodes, step
     edges = np.sort(np.concatenate(([start, end], inner)))
     widths = np.diff(edges)
     counts = np.ceil(intervals * (widths / (end - start))).astype(np.int64)
@@ -58,14 +73,27 @@ def _grid(start: float, end: float, cuts, intervals: int):
 
 
 def _definite_integral(values: np.ndarray, steps) -> float:
-    """Integral over the whole grid of the samples ``values`` at its nodes."""
+    """Integral over the whole grid of the samples ``values`` at its nodes.
+
+    It is not finite only where a sample is not, or where the integral
+    itself is beyond float range: a sum that overflows on the way is taken
+    again over the samples scaled to magnitude at most 1.
+    """
+    total = _simpson_sum(values, steps)
+    if math.isfinite(total) or not np.isfinite(values).all():
+        return total
+    scale = float(np.abs(values).max())
+    return _simpson_sum(values / scale, steps) * scale
+
+
+def _simpson_sum(values: np.ndarray, steps) -> float:
     if np.ndim(steps) == 0:
         # One uniform piece: the classic composite sum, whose rounding
         # keeps the results on smooth paths as they were.
-        odd, even = np.sum(values[1:-1:2]), np.sum(values[2:-1:2])
+        odd, even = values[1:-1:2].sum(), values[2:-1:2].sum()
         return float(steps / 3.0 * (values[0] + values[-1] + 4.0 * odd + 2.0 * even))
     y0, y1, y2 = values[:-2:2], values[1:-1:2], values[2::2]
-    return float(np.sum(steps / 3.0 * (y0 + 4.0 * y1 + y2)))
+    return float((steps / 3.0 * (y0 + 4.0 * y1 + y2)).sum())
 
 
 def cumulative_simpson_nodes(values: np.ndarray, steps) -> np.ndarray:
@@ -73,13 +101,25 @@ def cumulative_simpson_nodes(values: np.ndarray, steps) -> np.ndarray:
 
     Panels use the standard Simpson weight; the value at the interior
     (odd) node of each panel integrates the same quadratic over its
-    first half, so every node gets fourth-order accuracy.
+    first half, so every node gets fourth-order accuracy. As in
+    :func:`_definite_integral`, a node whose sum overflows on the way
+    while every sample is finite is taken again over scaled samples.
     """
+    out = _running_sums(values, steps)
+    finite = np.isfinite(out)
+    if finite.all() or not np.isfinite(values).all():
+        return out
+    scale = np.abs(values).max()
+    out[~finite] = _running_sums(values / scale, steps)[~finite] * scale
+    return out
+
+
+def _running_sums(values: np.ndarray, steps) -> np.ndarray:
     y0, y1, y2 = values[:-2:2], values[1:-1:2], values[2::2]
     half = steps / 12.0 * (5.0 * y0 + 8.0 * y1 - y2)
     full = steps / 3.0 * (y0 + 4.0 * y1 + y2)
     out = np.empty_like(values, dtype=float)
-    at_even = np.concatenate(([0.0], np.cumsum(full)))
-    out[::2] = at_even
-    out[1::2] = at_even[:-1] + half
+    out[0] = 0.0
+    np.cumsum(full, out=out[2::2])
+    np.add(out[:-2:2], half, out=out[1::2])
     return out

@@ -208,9 +208,10 @@ class TestSweep:
         assert main(["sweep", "--scenario", str(doc), "--metrics", "irr"]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
+        # The rows up to tau = 1.75 fit in a float; 1.8 * 1e308 does not.
         assert captured.err.splitlines() == [
-            "capreturn sweep: error: at tau=0.05: "
-            "cumulative return to t=0.05 is beyond float range"
+            "capreturn sweep: error: at tau=1.8: "
+            "cumulative return to t=1.8 is beyond float range"
         ]
 
     @pytest.mark.parametrize("flag", ["--d", "--u", "--L", "--tau-min", "--tau-max"])

@@ -44,6 +44,13 @@ class TestEvaluate:
         path = TabulatedPath(((0.0, 0.02), (10.0, 0.04)))
         assert path.evaluate(5.0) == pytest.approx(0.03)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_tabulated_slope_beyond_float_range(self):
+        # The slope, -2e308 per year, is beyond float range; the rates are not.
+        path = TabulatedPath(((0.0, 1e308), (1.0, -1e308)))
+        out = path.evaluate([0.0, 0.25, 0.5, 1.0])
+        assert out == pytest.approx([1e308, 5e307, 0.0, -1e308], rel=1e-15, abs=1e292)
+
     def test_reversed_flips_time(self, hump):
         rev = ReversedPath(hump, 40.0)
         assert rev.evaluate(10.0) == pytest.approx(hump.evaluate(30.0))
@@ -169,17 +176,35 @@ class TestCumulativeReturn:
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize(
         "call",
-        [
-            lambda: ConstantPath(1e308).time_average_rate(10.0),
-            lambda: TabulatedPath(((0.0, 1e308), (1.0, -1e308))).cumulative_return(1.0),
-        ],
-        ids=["constant-average", "tabulated-integral"],
+        [lambda: ConstantPath(1e308).time_average_rate(10.0)],
+        ids=["constant-average"],
     )
     def test_sum_beyond_float_range_is_degenerate(self, call):
-        # The Simpson sum overflows; no inf is returned and no numpy
+        # The integral, 1e309, overflows; no inf is returned and no numpy
         # warning reaches the caller.
         with pytest.raises(DegenerateCapitalError, match="is beyond float range$"):
             call()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "call, exact",
+        [
+            (lambda: ConstantPath(1e308).time_average_rate(0.5), 1e308),
+            (lambda: TabulatedPath(((0.0, 1e308), (1.0, -1e308))).cumulative_return(1.0), 0.0),
+            (
+                lambda: TabulatedPath(
+                    ((0.0, 1e308), (0.5, 1e308), (1.0, -1e308))
+                ).cumulative_return(1.0),
+                5e307,
+            ),
+        ],
+        ids=["constant-average", "tabulated-integral", "tabulated-pieces"],
+    )
+    def test_integral_within_float_range_is_finite(self, call, exact):
+        # Every rate fits in a float and so does the integral, but the
+        # Simpson sum of the rates overflows on the way (one piece, then
+        # two pieces cut at a kink).
+        assert call() == pytest.approx(exact, rel=1e-12, abs=1e-12 * 1e308)
 
 
 class TestTimeAverage:
