@@ -58,7 +58,6 @@ from .irr import (
     growth_cycle_irr,
 )
 from .leverage import (
-    LeverageSpec,
     leveraged_discount_rate,
     rroe,
     rroe_argmax,
@@ -73,7 +72,6 @@ from .paths import (
 from .quadrature import DEFAULT_INTERVALS
 from .scenario_io import (
     ScenarioDocument,
-    ValuationSpec,
     document_to_json_dict,
     parse_scenario,
     read_cash_flow_csv,
@@ -102,7 +100,6 @@ __all__ = [
     "InvalidLeverageError",
     "InvestmentEvent",
     "IrrResult",
-    "LeverageSpec",
     "NoRootError",
     "ReturnPath",
     "ReversedPath",
@@ -115,7 +112,6 @@ __all__ = [
     "TabulatedPath",
     "UniformAgeDensity",
     "UnsupportedScheduleError",
-    "ValuationSpec",
     "WipedOutEquityError",
     "area_average_rate",
     "capital_at",

@@ -119,7 +119,7 @@ def _weighted_integrals(
     scenario = estate.site_scenario
     tau = scenario.rotation_length
     lo, hi = estate.ages.support(tau)
-    cuts = (lo, hi, *estate.ages.knot_times(tau))
+    cuts = sorted({lo, hi, *estate.ages.knot_times(tau)})  # each cut once
     ts, steps, rates, capital = _segments(scenario, cuts, intervals)
     weights = estate.ages.density(ts, tau)
     # The density is zero outside its support; panels there get no weight

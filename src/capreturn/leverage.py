@@ -10,7 +10,6 @@ in interest-bearing instruments.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from collections.abc import Sequence
 
 import numpy as np
@@ -30,20 +29,6 @@ def _require_leverage(leverage: float) -> None:
         raise InvalidLeverageError("leverage ratio cannot be below -1")
     if leverage == math.inf:
         raise InvalidLeverageError("leverage ratio must be finite")
-
-
-@dataclass(frozen=True)
-class LeverageSpec:
-    """Leverage ratio and market interest rate. Equity is not an input:
-    it is ``K0 / (1 + leverage)``."""
-
-    leverage: float
-    market_rate: float = 0.0
-
-    def __post_init__(self):
-        _require_leverage(self.leverage)
-        if not math.isfinite(self.market_rate):
-            raise ValueError("market_rate must be finite")
 
 
 def rroe(return_on_capital: float, leverage: float, market_rate: float) -> float:
@@ -118,7 +103,7 @@ def _rroc_argmax(
     scenario that cannot be hashed is searched afresh.
 
     Raises:
-        ValueError: empty grid, or a grid point that is not positive.
+        DomainError: empty grid, or a grid point not finite and > 0.
         DegenerateCapitalError: from the pass over the longest rotation.
     """
 
@@ -164,7 +149,7 @@ def rroe_argmax(
         InvalidLeverageError: leverage <= -1, NaN or infinite (at
             exactly -1 the equity return is the market rate at every
             rotation length, so the maximizer is undefined).
-        ValueError: empty grid.
+        DomainError: empty grid, or a grid point not finite and > 0.
     """
     _require_leverage(leverage)
     if leverage == -1.0:

@@ -10,6 +10,7 @@ from collections.abc import Callable, Sequence
 
 import numpy as np
 
+from .errors import DomainError
 from .growth import GrowthScenario, with_rotation
 
 # A node value computed to about float precision lies within this share
@@ -47,14 +48,14 @@ def _first_order_argmax(
     the largest rounding of a node, gives the shortest rotation.
 
     Raises:
-        ValueError: empty grid, or a grid point that is not positive.
+        DomainError: empty grid, or a grid point not finite and > 0.
     """
     grid = np.sort(rotation_grid)  # NaN last
     if not grid.size:
-        raise ValueError("grid must not be empty")
+        raise DomainError("rotation grid must not be empty")
     first, last = float(grid[0]), float(grid[-1])
-    if not first > 0.0:
-        raise ValueError("rotation lengths must be > 0")
+    if not 0.0 < first <= last < math.inf:
+        raise DomainError("rotation grid points must be finite and > 0")
     with np.errstate(invalid="ignore", over="ignore"):
         times, values, rounding = curve(with_rotation(scenario, last), grid)
     inside = times >= first

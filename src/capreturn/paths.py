@@ -26,6 +26,9 @@ import numpy as np
 from .errors import DegenerateCapitalError, DomainError
 from .quadrature import DEFAULT_INTERVALS, _definite_integral, _grid
 
+#: Longest chain of ReversedPath around one path: documents nest one or two.
+MAX_REVERSALS = 16
+
 # Slack applied to domain checks so grid endpoints produced by float
 # arithmetic (e.g. linspace hitting the upper bound) are not rejected.
 _DOMAIN_SLACK = 1e-9
@@ -94,12 +97,13 @@ class ReturnPath:
         subintervals over ``[0, t]``, cut at the path's kinks.
 
         Raises:
-            DomainError: if ``[0, t]`` leaves the path domain.
+            DomainError: if ``[0, t]`` leaves the path domain, or ``t`` is
+                negative or infinite.
             DegenerateCapitalError: if the integral is beyond float range.
         """
         _require_within("span", (0.0, t), "path domain", self.domain())
-        if t < 0.0:
-            raise DomainError("cumulative return runs forward from time 0")
+        if not 0.0 <= t < math.inf:
+            raise DomainError("cumulative return runs forward from time 0 to a finite time")
         upper = min(t, self.domain()[1])  # the slack admits t, not a longer integral
         if upper <= 0.0:
             return 0.0
@@ -114,13 +118,13 @@ class ReturnPath:
         """Average spot rate over ``[0, horizon]``, per year.
 
         Raises:
-            ValueError: if ``horizon`` is not strictly positive.
-            DomainError: if ``horizon`` exceeds the path domain.
+            DomainError: if ``horizon`` is not strictly positive, is
+                infinite or exceeds the path domain.
             DegenerateCapitalError: if the cumulative return is beyond
                 float range.
         """
         if horizon <= 0.0:
-            raise ValueError("averaging horizon must be > 0")
+            raise DomainError("averaging horizon must be > 0")
         return self.cumulative_return(horizon, intervals=intervals) / horizon
 
 
@@ -255,6 +259,12 @@ class ReversedPath(ReturnPath):
     def __post_init__(self):
         if not math.isfinite(self.horizon):
             raise ValueError("horizon must be finite")
+        if self._reversals > MAX_REVERSALS:
+            raise ValueError(f"reversed paths nest at most {MAX_REVERSALS} deep")
+
+    @property
+    def _reversals(self) -> int:
+        return getattr(self.inner, "_reversals", 0) + 1
 
     def domain(self) -> tuple[float, float]:
         lo, hi = self.inner.domain()

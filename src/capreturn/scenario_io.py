@@ -13,10 +13,6 @@ A scenario document is a JSON object with these keys:
   ``{"kind": "reversed", "inner": {...}, "horizon": ...}``.
 * ``investments`` — optional list of ``{"time": ..., "amount": ...}``
   with times strictly increasing, strictly inside ``(0, tau)``.
-* ``valuation`` — optional ``{"discount_rate": >0}``.
-* ``leverage`` — optional ``{"leverage": >=-1, "market_rate": ...}``;
-  the market rate defaults to 0. It is the one place for both: equity
-  is ``K0 / (1 + leverage)``, not an input.
 * ``estate`` — optional ``{"ages": {"kind": "uniform"}}`` or
   ``{"ages": {"kind": "tabulated", "knots": [[age, weight], ...]}}``.
 * ``quadrature_intervals`` — optional integer in ``[2, 2**20]``,
@@ -25,9 +21,10 @@ A scenario document is a JSON object with these keys:
 All rates are per year and all times in years. Every number must be
 finite; unknown keys anywhere are rejected. Parsing reports every
 violated invariant at once, each with its key path. Schema version 1
-once also took a ``market_rate`` and a ``leverage`` in ``valuation`` and
-an ``equity`` in ``leverage``, which could only restate or contradict
-the ``leverage`` section and ``K0``; they are now unknown keys.
+once also took ``valuation`` and ``leverage`` sections, which no command
+read; they are now unknown keys. The rates d and u and the leverage L
+come from the CLI's ``--d``, ``--u`` and ``--L``, which the ``# settings``
+line of ``sweep`` echoes.
 
 Each object below the top level is built through its dataclass, whose
 field names are its keys (plus ``kind``). The constructor is the one
@@ -42,7 +39,7 @@ import csv
 import io
 import json
 import math
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import dataclass, fields
 from collections.abc import Sequence
 
 import numpy as np
@@ -51,27 +48,14 @@ from .errors import DomainError, NoRootError, ScenarioParseError, ScenarioValida
 from .estate import AgeDensity, EstateSpec, TabulatedAgeDensity, UniformAgeDensity
 from .growth import GrowthScenario, InvestmentEvent
 from .irr import CashEvent, CashFlowSchedule
-from .leverage import LeverageSpec
 from .paths import ConstantPath, ReturnPath, ReversedPath, SinSquaredPath, TabulatedPath
 from .paths import _require_within
 from .quadrature import DEFAULT_INTERVALS
-from .valuation import _require_discount
 
 SCHEMA_VERSION = 1
 
 #: Largest accepted ``quadrature_intervals``; it sizes every node array.
 MAX_INTERVALS = 2**20
-
-
-@dataclass(frozen=True)
-class ValuationSpec:
-    """Discount rate of the present values; the leveraged forms take
-    their market rate and leverage from the ``leverage`` section."""
-
-    discount_rate: float
-
-    def __post_init__(self):
-        _require_discount(self.discount_rate)
 
 
 @dataclass(frozen=True)
@@ -82,8 +66,6 @@ class ScenarioDocument:
     rotation_length: float
     path: ReturnPath
     investments: tuple[InvestmentEvent, ...] = ()
-    valuation: ValuationSpec | None = None
-    leverage: LeverageSpec | None = None
     ages: AgeDensity | None = None
     quadrature_intervals: int = DEFAULT_INTERVALS
     schema_version: int = SCHEMA_VERSION
@@ -142,8 +124,8 @@ def _build(spec, obj, check: _Check, key: str):
 
     ``spec`` is the class itself, or a table of classes by ``kind``. The
     ``knots`` field reads as [time, value] pairs, ``inner`` as a path and
-    every other field as a number; an absent field with a default keeps
-    it. A ValueError from the constructor is reported at ``key``.
+    every other field as a number; every field is required. A ValueError
+    from the constructor is reported at ``key``.
     """
     if not isinstance(obj, dict):
         check.fail(key, "must be an object")
@@ -160,8 +142,6 @@ def _build(spec, obj, check: _Check, key: str):
     check.known_keys(obj, allowed.union(f.name for f in own), key)
     values = {}
     for f in own:
-        if f.name not in obj and f.default is not MISSING:
-            continue
         where = f"{key}.{f.name}"
         if f.name == "knots":
             values[f.name] = _parse_knots(obj.get(f.name), check, where)
@@ -217,22 +197,30 @@ def parse_scenario(text: str) -> ScenarioDocument:
     """Parse and validate a scenario document.
 
     Raises:
-        ScenarioParseError: malformed JSON, with line and column.
+        ScenarioParseError: malformed JSON, with line and column, or
+            JSON nested deeper than the interpreter's recursion limit.
         ScenarioValidationError: structurally valid JSON violating one
             or more schema invariants; lists all of them by key path.
     """
     try:
-        raw = json.loads(text)
+        return _validate(json.loads(text))
     except json.JSONDecodeError as exc:
         raise ScenarioParseError(
             f"line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
+    except RecursionError:  # in json.loads, or from Python 3.12 (whose json.loads
+        # reads deeper than Python calls may recurse) in _build's descent
+        raise ScenarioParseError("document nests too deeply") from None
+
+
+def _validate(raw) -> ScenarioDocument:
+    """The document of parsed JSON, or ScenarioValidationError."""
     if not isinstance(raw, dict):
         raise ScenarioValidationError([("", "document must be a JSON object")])
 
     check = _Check()
-    top_level = ("schema_version", "K0", "tau", "path", "investments", "valuation",
-                 "leverage", "estate", "quadrature_intervals")
+    top_level = ("schema_version", "K0", "tau", "path", "investments", "estate",
+                 "quadrature_intervals")
     check.known_keys(raw, top_level, "")
 
     version = raw.get("schema_version", SCHEMA_VERSION)
@@ -254,8 +242,6 @@ def parse_scenario(text: str) -> ScenarioDocument:
             check.fail("tau", str(exc))
 
     investments = _parse_investments(raw.get("investments", []), check, tau)
-    valuation = _optional(ValuationSpec, raw, "valuation", check)
-    leverage = _optional(LeverageSpec, raw, "leverage", check)
     ages = _parse_ages(raw.get("estate"), check, tau)
 
     intervals = raw.get("quadrature_intervals", DEFAULT_INTERVALS)
@@ -274,8 +260,6 @@ def parse_scenario(text: str) -> ScenarioDocument:
         rotation_length=tau,
         path=path_obj,
         investments=investments,
-        valuation=valuation,
-        leverage=leverage,
         ages=ages,
         quadrature_intervals=intervals,
         schema_version=SCHEMA_VERSION,
@@ -292,11 +276,6 @@ def _positive(raw: dict, key: str, check: _Check) -> float | None:
         check.fail(key, "must be > 0")
         return None
     return value
-
-
-def _optional(cls, raw: dict, key: str, check: _Check):
-    """The optional section at ``key`` built as ``cls``, None if absent."""
-    return None if raw.get(key) is None else _build(cls, raw[key], check, key)
 
 
 def _parse_investments(obj, check: _Check, tau) -> tuple[InvestmentEvent, ...]:
@@ -337,7 +316,7 @@ def _parse_ages(obj, check: _Check, tau) -> AgeDensity | None:
 
 def _to_json(obj, kinds=None) -> dict:
     """Plain-JSON form of one object, written through its dataclass
-    fields: the inverse of :func:`_build`. A field left None is omitted."""
+    fields: the inverse of :func:`_build`."""
     out: dict = {}
     if kinds is not None:
         kind = next((k for k, cls in kinds.items() if isinstance(obj, cls)), None)
@@ -350,8 +329,6 @@ def _to_json(obj, kinds=None) -> dict:
             value = [list(pair) for pair in value]
         elif f.name == "inner":
             value = _to_json(value, _PATHS)
-        elif value is None:
-            continue
         out[f.name] = value
     return out
 
@@ -366,10 +343,6 @@ def document_to_json_dict(doc: ScenarioDocument) -> dict:
         "investments": [_to_json(e) for e in doc.investments],
         "quadrature_intervals": doc.quadrature_intervals,
     }
-    if doc.valuation is not None:
-        out["valuation"] = _to_json(doc.valuation)
-    if doc.leverage is not None:
-        out["leverage"] = _to_json(doc.leverage)
     if doc.ages is not None:
         out["estate"] = {"ages": _to_json(doc.ages, _AGES)}
     return out

@@ -49,6 +49,14 @@ EVENTS_DOC = {
 FAST_DOC = {"K0": 1, "tau": 100, "path": {"kind": "constant", "rate": 8.0}}
 
 
+def reversed_chain(depth):
+    """A constant path inside ``depth`` reversals, as JSON."""
+    path = CONSTANT_DOC["path"]
+    for _ in range(depth):
+        path = {"kind": "reversed", "inner": path, "horizon": 10.0}
+    return path
+
+
 @pytest.fixture
 def hump_file(tmp_path):
     p = tmp_path / "hump.json"
@@ -452,6 +460,31 @@ class TestUnreadableInput:
         assert err == [
             f"capreturn {command}: error: {bad}: not UTF-8 text (invalid start byte at byte 21)"
         ]
+
+
+    @pytest.mark.parametrize(
+        "command, text, message",
+        [
+            ("sweep", '{"K0": ' + "[" * 5000 + "]" * 5000 + ', "tau": 10}',
+             "document nests too deeply"),
+            ("optimize", json.dumps({**CONSTANT_DOC, "path": reversed_chain(500)}),
+             "invalid scenario document: path" + ".inner" * 483
+             + ": reversed paths nest at most 16 deep"),
+            ("sweep", json.dumps({**CONSTANT_DOC, "valuation": {"discount_rate": 0.03}}),
+             "invalid scenario document: valuation: unknown key"),
+            ("sweep", json.dumps({**CONSTANT_DOC, "leverage": {"leverage": 5}}),
+             "invalid scenario document: leverage: unknown key"),
+        ],
+        ids=["deep-json", "deep-reversal", "valuation", "leverage"],
+    )
+    def test_bad_scenario(self, tmp_path, capsys, command, text, message):
+        doc = tmp_path / "doc.json"
+        doc.write_text(text)
+        flag = "--metrics" if command == "sweep" else "--objective"
+        assert main([command, "--scenario", str(doc), flag, "rroc"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [f"capreturn {command}: error: {message}"]
 
 
 def test_an_untyped_error_is_not_reported_as_input_error(hump_file, monkeypatch):

@@ -160,6 +160,22 @@ class TestTabulatedAges:
         oracle = midpoint_integral(weighted_rate, 10.0, 90.0, n=200_000)
         assert area_average_rate(estate) == pytest.approx(oracle, rel=1e-8)
 
+    def test_support_ends_are_cut_once(self, monkeypatch):
+        # The density's knots include its support ends; a cut given twice
+        # would add a zero-width panel there.
+        steps = []
+        original = estate_module._segments
+
+        def recorded(*args):
+            result = original(*args)
+            steps.append(result[1])
+            return result
+
+        estate_module._weighted_integrals.cache_clear()
+        monkeypatch.setattr(estate_module, "_segments", recorded)
+        estate_rroc(hump_estate(TabulatedAgeDensity(((10.0, 0.2), (40.0, 1.0), (90.0, 0.1)))))
+        assert np.all(steps[0] > 0.0)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             TabulatedAgeDensity(((0.0, 1.0),))

@@ -1,7 +1,7 @@
 """Equity returns under leverage and the break-even discount rate."""
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -11,19 +11,17 @@ from hypothesis import strategies as st
 from capreturn import (
     ConstantPath,
     DegenerateCapitalError,
+    DomainError,
     GrowthScenario,
     InvalidLeverageError,
     InvestmentEvent,
-    LeverageSpec,
     ReturnPath,
-    ScenarioValidationError,
     SinSquaredPath,
     TabulatedPath,
     UnsupportedScheduleError,
     WipedOutEquityError,
     leveraged_discount_rate,
     leveraged_npv,
-    parse_scenario,
     rroc,
     rroe,
     rroe_argmax,
@@ -60,6 +58,10 @@ class TestRroe:
         with pytest.raises(InvalidLeverageError, match="leverage ratio must be finite"):
             rroe(0.05, math.inf, 0.05)
 
+    def test_nan_leverage_rejected(self):
+        with pytest.raises(InvalidLeverageError, match="cannot be below -1"):
+            rroe(0.05, math.nan, 0.03)
+
 
 @settings(max_examples=50)
 @given(s=st.floats(-0.5, 0.5), u=st.floats(-0.2, 0.2))
@@ -67,43 +69,12 @@ def test_full_lending_is_exact_for_any_inputs(s, u):
     assert rroe(s, -1.0, u) == u
 
 
-class TestLeverageSpec:
-    def test_valid(self):
-        spec = LeverageSpec(leverage=1.0, market_rate=0.03)
-        assert (spec.leverage, spec.market_rate) == (1.0, 0.03)
-
-    def test_equity_is_not_an_input(self):
-        # Equity is K0 / (1 + leverage); a separate value could only disagree.
-        assert [f.name for f in fields(LeverageSpec)] == ["leverage", "market_rate"]
-
-    def test_invalid_leverage(self):
-        with pytest.raises(InvalidLeverageError):
-            LeverageSpec(leverage=-2.0, market_rate=0.03)
-
-    def test_nan_leverage_rejected(self):
-        with pytest.raises(InvalidLeverageError, match="cannot be below -1"):
-            LeverageSpec(leverage=math.nan, market_rate=0.03)
-
-    def test_infinite_leverage_rejected(self):
-        with pytest.raises(InvalidLeverageError, match="leverage ratio must be finite"):
-            LeverageSpec(leverage=math.inf, market_rate=0.03)
-
-    def test_infinite_leverage_rejected_by_the_closed_forms(self):
-        s = GrowthScenario(1.0, 10.0, ConstantPath(0.05))
-        with pytest.raises(InvalidLeverageError, match="leverage ratio must be finite"):
-            leveraged_npv(s, 0.03, 0.02, math.inf)
-        with pytest.raises(InvalidLeverageError, match="leverage ratio must be finite"):
-            leveraged_discount_rate(s, math.inf, 0.02)
-
-    def test_infinite_leverage_rejected_by_the_parser(self):
-        doc = '{"K0": 1, "tau": 10, "path": {"kind": "constant", "rate": 0.05}, '
-        with pytest.raises(ScenarioValidationError) as err:
-            parse_scenario(doc + '"leverage": {"leverage": 1e400}}')
-        assert err.value.violations == [("leverage.leverage", "must be a finite number")]
-
-    def test_non_finite_market_rate_rejected(self):
-        with pytest.raises(ValueError, match="finite"):
-            LeverageSpec(leverage=1.0, market_rate=math.nan)
+def test_infinite_leverage_rejected_by_the_closed_forms():
+    s = GrowthScenario(1.0, 10.0, ConstantPath(0.05))
+    with pytest.raises(InvalidLeverageError, match="leverage ratio must be finite"):
+        leveraged_npv(s, 0.03, 0.02, math.inf)
+    with pytest.raises(InvalidLeverageError, match="leverage ratio must be finite"):
+        leveraged_discount_rate(s, math.inf, 0.02)
 
 
 class TestBreakEvenRate:
@@ -206,6 +177,21 @@ class TestRroeArgmax:
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):
             rroe_argmax(hump_scenario(), 1.0, 0.03, [])
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "grid, message",
+        [
+            ([], "rotation grid must not be empty"),
+            ([0.0, 5.0], "rotation grid points must be finite and > 0"),
+            ([math.nan], "rotation grid points must be finite and > 0"),
+            ([math.inf], "rotation grid points must be finite and > 0"),
+        ],
+        ids=["empty", "zero", "nan", "inf"],
+    )
+    def test_bad_grid_is_a_domain_error(self, grid, message):
+        with pytest.raises(DomainError, match=message):
+            rroe_argmax(hump_scenario(), 1.0, 0.01, grid)
 
     def test_full_lending_has_no_optimum(self):
         with pytest.raises(InvalidLeverageError):

@@ -134,6 +134,12 @@ class TestCumulativeReturn:
         with pytest.raises(DomainError, match="runs forward from time 0"):
             ConstantPath(0.05).cumulative_return(-1.0)
 
+    @pytest.mark.filterwarnings("error")
+    def test_infinite_horizon_is_a_domain_error(self):
+        # The constant path's domain admits t = inf; a grid over it does not.
+        with pytest.raises(DomainError, match="to a finite time"):
+            ConstantPath(0.05).cumulative_return(math.inf)
+
     def test_full_cycle_forced_by_normalization(self, hump):
         assert hump.cumulative_return(CYCLE) == pytest.approx(
             MEAN * CYCLE, abs=1e-8
@@ -225,6 +231,16 @@ class TestTimeAverage:
             hump.time_average_rate(0.0)
         with pytest.raises(ValueError):
             hump.time_average_rate(-3.0)
+
+    @pytest.mark.filterwarnings("error")
+    def test_zero_horizon_is_a_domain_error(self):
+        with pytest.raises(DomainError, match="averaging horizon must be > 0"):
+            ConstantPath(0.05).time_average_rate(0.0)
+
+    @pytest.mark.filterwarnings("error")
+    def test_infinite_horizon_is_a_domain_error(self):
+        with pytest.raises(DomainError, match="to a finite time"):
+            ConstantPath(0.05).time_average_rate(math.inf)
 
 
 @settings(max_examples=40, deadline=None)

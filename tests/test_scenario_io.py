@@ -2,7 +2,7 @@
 
 import json
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import pytest
 from hypothesis import given, settings
@@ -11,9 +11,7 @@ from hypothesis import strategies as st
 from capreturn import (
     ConstantPath,
     GrowthScenario,
-    InvalidDiscountError,
     InvestmentEvent,
-    LeverageSpec,
     NoRootError,
     ReturnPath,
     ReversedPath,
@@ -24,15 +22,23 @@ from capreturn import (
     TabulatedAgeDensity,
     TabulatedPath,
     UniformAgeDensity,
-    ValuationSpec,
     parse_scenario,
     read_cash_flow_csv,
     serialize_scenario,
     write_table,
 )
+from capreturn.paths import MAX_REVERSALS
 from capreturn.scenario_io import MAX_INTERVALS
 
 MINIMAL = '{"K0": 1.0, "tau": 10.0, "path": {"kind": "constant", "rate": 0.05}}'
+
+
+def reversed_chain(depth):
+    """A constant path inside ``depth`` reversals, as JSON."""
+    path = {"kind": "constant", "rate": 0.05}
+    for _ in range(depth):
+        path = {"kind": "reversed", "inner": path, "horizon": 10.0}
+    return path
 
 
 class TestParse:
@@ -44,7 +50,7 @@ class TestParse:
         assert doc.investments == ()
         assert doc.quadrature_intervals == 4096
         assert doc.schema_version == 1
-        assert doc.valuation is None
+        assert doc.ages is None
         assert doc.scenario() == GrowthScenario(1.0, 10.0, ConstantPath(0.05))
 
     def test_full_document(self):
@@ -59,8 +65,6 @@ class TestParse:
                     "full_cycle": 100.0,
                 },
                 "investments": [{"time": 5.0, "amount": 0.5}],
-                "valuation": {"discount_rate": 0.03},
-                "leverage": {"leverage": 1.0, "market_rate": 0.03},
                 "estate": {"ages": {"kind": "uniform"}},
                 "quadrature_intervals": 512,
             }
@@ -68,8 +72,6 @@ class TestParse:
         doc = parse_scenario(text)
         assert doc.path == SinSquaredPath(0.05, 0.5, 100.0)
         assert doc.investments == (InvestmentEvent(5.0, 0.5),)
-        assert doc.valuation == ValuationSpec(0.03)
-        assert doc.leverage == LeverageSpec(1.0, 0.03)
         assert doc.ages == UniformAgeDensity()
         assert doc.quadrature_intervals == 512
         assert doc.estate() is not None
@@ -83,15 +85,19 @@ class TestParse:
     @pytest.mark.parametrize(
         "section, key",
         [
-            ({"valuation": {"discount_rate": 0.03, "market_rate": 0.03}}, "valuation.market_rate"),
-            ({"valuation": {"discount_rate": 0.03, "leverage": 1.0}}, "valuation.leverage"),
-            ({"leverage": {"leverage": 1.0, "equity": 0.5}}, "leverage.equity"),
+            ({"valuation": {"discount_rate": 0.03, "market_rate": 0.03}}, "valuation"),
+            ({"valuation": {"discount_rate": 0.03, "leverage": 1.0}}, "valuation"),
+            ({"leverage": {"leverage": 1.0, "equity": 0.5}}, "leverage"),
+            ({"valuation": {"discount_rate": 0.03}}, "valuation"),
+            ({"leverage": {"leverage": 5.0, "market_rate": 0.02}}, "leverage"),
+            ({"valuation": None}, "valuation"),
         ],
-        ids=["valuation.market_rate", "valuation.leverage", "leverage.equity"],
+        ids=["valuation.market_rate", "valuation.leverage", "leverage.equity",
+             "valuation", "leverage", "valuation-null"],
     )
     def test_removed_inputs_are_unknown_keys(self, section, key):
-        # The leverage section is the one source of L and u, and equity is
-        # K0 / (1 + L): a second source could only disagree.
+        # d, u and L come from the command line alone, and equity is
+        # K0 / (1 + L): a second source in the document could only disagree.
         doc = {"K0": 1.0, "tau": 10.0, "path": {"kind": "constant", "rate": 0.05}}
         with pytest.raises(ScenarioValidationError) as err:
             parse_scenario(json.dumps({**doc, **section}))
@@ -217,12 +223,14 @@ class TestParse:
                        "full_cycle": 0}}, ("path", "full_cycle must be > 0")),
             ({"path": {"kind": "tabulated", "knots": [[0, 0.01], [0, 0.02]]}},
              ("path", "knot times must be strictly increasing")),
-            ({"valuation": {"discount_rate": 0}}, ("valuation", "discount rate must be > 0")),
-            ({"leverage": {"leverage": -2}}, ("leverage", "leverage ratio cannot be below -1")),
             ({"estate": {"ages": {"kind": "tabulated", "knots": [[0, 1], [5, -1]]}}},
              ("estate.ages", "density weights must be nonnegative")),
             ({"estate": {"ages": {"kind": "tabulated", "knots": [[0, 1e308], [10, 1e308]]}}},
              ("estate.ages", "density total mass must be finite")),
+            ({"path": {"kind": "tabulated", "knots": [[0, 0.01]]}},
+             ("path", "tabulated path needs at least two knots")),
+            ({"path": reversed_chain(MAX_REVERSALS + 1)},
+             ("path", f"reversed paths nest at most {MAX_REVERSALS} deep")),
         ],
     )
     def test_constructor_violation_reported_at_the_object(self, section, message):
@@ -243,20 +251,38 @@ class TestParse:
             ("estate.ages.kind", "must be one of 'uniform', 'tabulated'"),
         ]
 
-    def test_market_rate_defaults_to_zero(self):
-        sections = ', "leverage": {"leverage": 0.5}, "valuation": {"discount_rate": 0.03}}'
-        doc = parse_scenario(MINIMAL[:-1] + sections)
-        assert doc.leverage == LeverageSpec(0.5, 0.0)
-        assert doc.valuation == ValuationSpec(0.03)
+    def test_deep_json_is_a_parse_error(self):
+        with pytest.raises(ScenarioParseError, match="nests too deeply"):
+            parse_scenario("[" * 5000 + "]" * 5000)
 
+    def test_reversal_chain_beyond_the_recursion_limit_is_a_parse_error(self):
+        # Built as text: json.dumps cannot write it. Python 3.11 stops in
+        # json.loads, later versions in the descent through "inner".
+        n = 1200
+        head = '{"kind": "reversed", "horizon": 10, "inner": '
+        path = head * n + '{"kind": "constant", "rate": 0}' + "}" * n
+        with pytest.raises(ScenarioParseError, match="nests too deeply"):
+            parse_scenario('{"K0": 1, "tau": 10, "path": ' + path + "}")
 
-class TestValuationSpec:
-    def test_discount_rate_must_be_positive(self):
-        with pytest.raises(InvalidDiscountError):
-            ValuationSpec(0.0)
+    def test_chain_too_deep_to_build_is_a_parse_error(self, monkeypatch):
+        # The descent through "inner" as it runs where json.loads reads
+        # deeper than the recursion limit of Python calls (Python 3.12+).
+        raw = {"K0": 1.0, "tau": 10.0, "path": reversed_chain(5000)}
+        monkeypatch.setattr(json, "loads", lambda text: raw)
+        with pytest.raises(ScenarioParseError, match="nests too deeply"):
+            parse_scenario("{}")
 
-    def test_holds_the_discount_rate_only(self):
-        assert [f.name for f in fields(ValuationSpec)] == ["discount_rate"]
+    def test_deep_reversal_chain_is_reported_under_path(self):
+        doc = {"K0": 1.0, "tau": 10.0, "path": reversed_chain(500)}
+        with pytest.raises(ScenarioValidationError) as err:
+            parse_scenario(json.dumps(doc))
+        [(key, message)] = err.value.violations
+        assert key == "path" + ".inner" * (500 - MAX_REVERSALS - 1)
+        assert message == f"reversed paths nest at most {MAX_REVERSALS} deep"
+
+    def test_longest_reversal_chain_is_accepted(self):
+        doc = {"K0": 1.0, "tau": 10.0, "path": reversed_chain(MAX_REVERSALS)}
+        assert parse_scenario(json.dumps(doc)).path._reversals == MAX_REVERSALS
 
 
 def sample_documents():
@@ -274,15 +300,6 @@ def sample_documents():
             TabulatedPath(((0.0, 0.02), (5.0, 0.06), (10.0, 0.01))),
         ),
         ScenarioDocument(1.0, 60.0, ReversedPath(hump, 60.0)),
-        ScenarioDocument(
-            1.0, 10.0, ConstantPath(0.05), valuation=ValuationSpec(0.05)
-        ),
-        ScenarioDocument(
-            1.0,
-            10.0,
-            ConstantPath(0.05),
-            leverage=LeverageSpec(1.0, 0.03),
-        ),
         ScenarioDocument(1.0, 100.0, hump, ages=UniformAgeDensity()),
         ScenarioDocument(
             1.0,
@@ -295,8 +312,21 @@ def sample_documents():
             10.0,
             ReversedPath(TabulatedPath(((0.0, 0.02), (5.0, 0.06), (10.0, 0.01))), 10.0),
         ),
-        ScenarioDocument(1.0, 10.0, ConstantPath(0.05), leverage=LeverageSpec(0.5)),
-        ScenarioDocument(1.0, 10.0, ConstantPath(0.05), valuation=ValuationSpec(0.03)),
+        ScenarioDocument(
+            1.0,
+            10.0,
+            TabulatedPath(((0.0, 0.02), (2.5, 0.09), (6.0, 0.04), (10.0, 0.01))),
+            investments=(InvestmentEvent(1.5, 0.5), InvestmentEvent(7.0, -0.25)),
+        ),
+        ScenarioDocument(1.0, 60.0, ReversedPath(ReversedPath(hump, 60.0), 60.0)),
+        ScenarioDocument(
+            1.0,
+            60.0,
+            ReversedPath(hump, 60.0),
+            ages=TabulatedAgeDensity(((0.0, 1.0), (30.0, 2.0), (60.0, 0.5))),
+            quadrature_intervals=64,
+        ),
+        ScenarioDocument(1.0, 10.0, ConstantPath(-0.01), investments=(InvestmentEvent(9.5, 3.0),)),
     ]
 
 
@@ -330,8 +360,8 @@ PATH_KINDS = {
     "tabulated": ("knots",),
     "reversed": ("inner", "horizon"),
 }
-KEYS = sorted({"kind", "ages", "time", "amount", "discount_rate", "market_rate",
-               "leverage", *(k for keys in PATH_KINDS.values() for k in keys)})
+KEYS = sorted({"kind", "ages", "time", "amount",
+               *(k for keys in PATH_KINDS.values() for k in keys)})
 
 
 def _usually(good, other):
@@ -386,8 +416,6 @@ DOCUMENTS = st.fixed_dictionaries(
     {"K0": _mostly(NUMBERS), "tau": _mostly(NUMBERS), "path": PATHS},
     optional={
         "investments": _mostly(st.lists(_mostly(_object(("time", "amount"))), max_size=3)),
-        "valuation": _mostly(_object(("discount_rate",))),
-        "leverage": _mostly(_object(("leverage", "market_rate"))),
         "estate": _mostly(_object(("ages",))),
         "quadrature_intervals": _mostly(st.integers(0, 2**20 + 1)),
         "schema_version": _mostly(st.just(1)),
