@@ -91,15 +91,15 @@ def _exp(x: float) -> float:
         raise DegenerateCapitalError(f"growth factor exp({x:.6g}) is beyond float range") from None
 
 
-def _cycle_averages(scenario: GrowthScenario, cuts, intervals: int):
+def _cycle_returns(scenario: GrowthScenario, cuts, intervals: int):
     """The nodes after time 0 of one Simpson pass over the rotation, cut at
-    path kinks and ``cuts``, and the time-average rate (the IRR) of the
-    rotation ending at each. No capital is built, so nothing overflows."""
+    path kinks and ``cuts``, and the cumulative return to each. No capital
+    is built, so nothing overflows."""
     _require_investment_free(scenario)
     all_cuts = np.concatenate((scenario.path._kinks(), cuts))
     times, steps = _grid(0.0, scenario.rotation_length, all_cuts, intervals)
     returns = cumulative_simpson_nodes(scenario.path._clipped_rates(times), steps)
-    return times[1:], returns[1:] / times[1:]
+    return times[1:], returns[1:]
 
 
 def _require_investment_free(scenario: GrowthScenario) -> None:
@@ -157,18 +157,36 @@ def _segments(
             capital = scenario.initial_capital * np.exp(returns)
         else:
             after = np.searchsorted(times, event_times, "right") - 1  # post-jump nodes
-            amounts = np.array([e.amount for e in scenario.investments])
-            discounted = amounts * np.exp(-returns[after])
-            bases = np.cumsum(np.append(scenario.initial_capital, discounted))
-            if np.any(bases[1:] <= 0.0):
-                bad = event_times[np.argmax(bases[1:] <= 0.0)]
-                raise DegenerateCapitalError(f"capital nonpositive just after event at t={bad:g}")
+            bases = _bases(scenario.initial_capital, scenario.investments, returns[after])
             spans = np.diff(after, prepend=0, append=times.size)
             capital = np.repeat(bases, spans) * np.exp(returns)
+    _require_finite(times, capital)
+    return times, steps, rates, capital
+
+
+def _bases(initial_capital: float, events, returns: np.ndarray) -> np.ndarray:
+    """Capital over ``exp(R)`` from time 0 and after each of ``events``,
+    given ``R`` at their times: each event's amount discounted to time 0
+    moves it. Call within ``np.errstate(over="ignore", invalid="ignore")``.
+
+    Raises:
+        DegenerateCapitalError: at the first event that leaves capital
+            nonpositive.
+    """
+    amounts = np.array([e.amount for e in events])
+    bases = np.cumsum(np.append(initial_capital, amounts * np.exp(-returns)))
+    if np.any(bases[1:] <= 0.0):
+        bad = events[np.argmax(bases[1:] <= 0.0)].time
+        raise DegenerateCapitalError(f"capital nonpositive just after event at t={bad:g}")
+    return bases
+
+
+def _require_finite(times: np.ndarray, capital: np.ndarray) -> None:
+    """Raise DegenerateCapitalError at the first time whose capital is
+    beyond float range."""
     if not math.isfinite(capital.max()):  # NaN propagates through max
         bad = times[np.argmin(np.isfinite(capital))]
         raise DegenerateCapitalError(f"capital beyond float range at t={bad:g}")
-    return times, steps, rates, capital
 
 
 def capital_at(
@@ -176,20 +194,35 @@ def capital_at(
 ) -> float:
     """Capital at time ``t`` within the rotation (currency).
 
-    It is the last node of the Simpson pass over the rotation cut short
-    at ``t``, plus the amount of an event at exactly ``t``: at an event
-    time the post-jump value is returned (the trajectory is
-    right-continuous).
+    Only the events before ``t`` count, plus the amount of an event at
+    exactly ``t``: at an event time the post-jump value is returned (the
+    trajectory is right-continuous). On a path with an exact
+    ``_antiderivative`` (a tabulated path) it is
+    ``exp(R(t)) * (K0 + sum of a_k * exp(-R(t_k)) over t_k < t)``, with no
+    pass, and capital is judged just before each of those events and at
+    ``t``. On any other path it is the last node of the Simpson pass over
+    the rotation cut short at ``t``, judged at every node.
 
     Raises:
         DomainError: if ``t`` is outside ``[0, rotation_length]``.
-        DegenerateCapitalError: if capital is nonpositive at or before ``t``.
+        DegenerateCapitalError: if capital is nonpositive at or before
+            ``t``, or beyond float range where it is judged.
     """
     _require_within("time", (t, t), "rotation", (0.0, scenario.rotation_length))
     if t <= 0.0:
         return scenario.initial_capital
     t = min(t, scenario.rotation_length)  # the slack admits t, not a longer rotation
-    _, _, _, trajectory = _segments(with_rotation(scenario, t), (), intervals)
+    if hasattr(scenario.path, "_antiderivative"):
+        events = [e for e in scenario.investments if e.time < t]
+        times = np.array([0.0, *(e.time for e in events), t])
+        with np.errstate(over="ignore", invalid="ignore"):  # judged below
+            antiderivative = scenario.path._antiderivative(times)
+            returns = antiderivative[1:] - antiderivative[0]
+            # Capital just before each event, then at t.
+            trajectory = _bases(scenario.initial_capital, events, returns[:-1]) * np.exp(returns)
+        _require_finite(times[1:], trajectory)
+    else:
+        _, _, _, trajectory = _segments(with_rotation(scenario, t), (), intervals)
     capital = float(trajectory[-1])
     capital += sum(e.amount for e in scenario.investments if e.time == t)
     if capital <= 0.0:

@@ -27,9 +27,9 @@ from .errors import (
     NoRootError,
     RootConvergenceError,
 )
-from .growth import GrowthScenario, _cycle_averages, _require_investment_free
+from .growth import GrowthScenario, _cycle_returns, _require_investment_free
 from .optimize import _first_order_argmax, _rounding
-from .quadrature import DEFAULT_INTERVALS
+from .quadrature import DEFAULT_INTERVALS, _definite_integral
 
 #: Event times must sit on the common grid within this many years.
 TIME_TOLERANCE = 1e-9
@@ -133,19 +133,24 @@ def growth_cycle_irr(
 
 
 def _irr_argmax(scenario: GrowthScenario, rotation_grid, intervals: int) -> tuple[float, float]:
-    """``optimize._first_order_argmax`` of the IRR, the time-average rate:
-    its slope ``(r(tau) - irr(tau)) / tau`` vanishes where the spot rate
-    falls to it."""
+    """``optimize._first_order_argmax`` of the IRR, the time-average rate
+    ``R / tau``: its slope ``(r(tau) - irr(tau)) / tau`` vanishes where the
+    spot rate falls to it."""
 
     def curve(longest: GrowthScenario, grid: np.ndarray):
-        times, avg = _cycle_averages(longest, grid, intervals)
-        return times, avg, _rounding(avg)
+        times, returns = _cycle_returns(longest, grid, intervals)
+        avg = returns / times
+
+        def threshold(i, t, step, panel):
+            return (returns[i] + _definite_integral(panel, step)) / t
+
+        return times, avg, _rounding(avg), threshold
 
     return _first_order_argmax(
         scenario,
         rotation_grid,
         curve,
-        lambda rotation: (growth_cycle_irr(rotation, intervals=intervals),) * 2,
+        lambda rotation: growth_cycle_irr(rotation, intervals=intervals),
     )
 
 

@@ -19,7 +19,7 @@ from .growth import GrowthScenario, _exp, _segments, rroc
 from .irr import growth_cycle_irr
 from .memo import remember_latest
 from .optimize import _first_order_argmax, _rounding
-from .quadrature import DEFAULT_INTERVALS, cumulative_simpson_nodes
+from .quadrature import DEFAULT_INTERVALS, _definite_integral, cumulative_simpson_nodes
 
 
 def _require_leverage(leverage: float) -> None:
@@ -93,10 +93,12 @@ def _rroc_argmax(
     """``optimize._first_order_argmax`` of the capital return, whose
     threshold is the capital return itself:
     ``d rroc / d tau = K(tau) / C(tau) * (r(tau) - rroc(tau))``, with ``C``
-    the integral of capital ``K``. The running integrals of ``K * r`` and
-    ``K`` at a node of the longest rotation are those of the rotation
-    ending there, since a shorter rotation only drops the events at or
-    after its end. A constant path is flat: the shortest rotation wins.
+    the integral of capital ``K``. The running integrals ``P`` of ``K * r``
+    and ``C`` of ``K`` at a node of the longest rotation are those of the
+    rotation ending there, since a shorter rotation only drops the events
+    at or after its end; between nodes, capital grows from the node's by
+    the panel's running integral of the rate, and the threshold is
+    ``P / C``. A constant path is flat: the shortest rotation wins.
 
     The latest search is remembered, so the equity-return maximizers of
     one scenario at several market rates or leverages share it. A
@@ -110,11 +112,19 @@ def _rroc_argmax(
     def curve(longest: GrowthScenario, grid: np.ndarray):
         times, steps, rates, capital = _segments(longest, grid, intervals)
         profit = cumulative_simpson_nodes(capital * rates, steps)
-        ratio = profit / cumulative_simpson_nodes(capital, steps)
-        return times, ratio, _rounding(ratio)
+        capitalization = cumulative_simpson_nodes(capital, steps)
+        ratio = profit / capitalization
+
+        def threshold(i, t, step, panel):
+            grown = capital[i] * np.exp(cumulative_simpson_nodes(panel, step))
+            return (profit[i] + _definite_integral(grown * panel, step)) / (
+                capitalization[i] + _definite_integral(grown, step)
+            )
+
+        return times, ratio, _rounding(ratio), threshold
 
     return _first_order_argmax(
-        scenario, rotation_grid, curve, lambda s: (rroc(s, intervals=intervals),) * 2
+        scenario, rotation_grid, curve, lambda s: rroc(s, intervals=intervals)
     )
 
 

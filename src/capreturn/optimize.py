@@ -1,6 +1,7 @@
 """The one rotation-length search behind every ``optimize`` objective:
 the optimum is where the spot rate falls to the objective's threshold,
-bracketed by the best node of one pass over the longest rotation."""
+bracketed by the best node of one pass over the longest rotation and
+found on that pass's running sums, with no further pass."""
 
 from __future__ import annotations
 
@@ -29,23 +30,32 @@ def _first_order_argmax(
     scenario: GrowthScenario,
     rotation_grid: Sequence[float],
     curve: Callable[
-        [GrowthScenario, np.ndarray], tuple[np.ndarray, np.ndarray, np.ndarray]
+        [GrowthScenario, np.ndarray],
+        tuple[np.ndarray, np.ndarray, np.ndarray, Callable[..., float]],
     ],
-    objective: Callable[[GrowthScenario], tuple[float, float]],
+    objective: Callable[[GrowthScenario], float],
 ) -> tuple[float, float]:
     """Rotation length maximizing an objective between the shortest and
     the longest rotation of the grid, and the objective there.
 
-    ``curve(longest, grid)`` gives the nodes of one pass over the longest
-    rotation, cut at every grid point, and at each a value (free of
-    initial capital) that orders the rotations ending there as the
-    objective does, and the rounding of that value; 0/0 and overflow are
-    let pass. ``objective(rotation)`` gives the objective and a threshold
-    whose gap to the spot rate has the sign of the objective's slope. The
-    best node, the shortest of equals, and its nearest distinct
-    neighbours bracket the root of that gap; without a sign change the
-    better end wins. A curve flat to its rounding, whose spread is within
-    the largest rounding of a node, gives the shortest rotation.
+    ``curve(longest, grid)`` reads one pass over the longest rotation,
+    cut at every grid point, and gives ``(times, values, rounding,
+    threshold)``: the nodes; at each a value (free of initial capital)
+    that orders the rotations ending there as the objective does, and its
+    rounding, with 0/0 and overflow let pass; and ``threshold(i, t, step,
+    panel)``, the objective's threshold at time ``t``, whose gap to the
+    spot rate has the sign of the objective's slope. It extends the
+    running sums at node ``i`` by one Simpson panel of step ``step`` over
+    ``[times[i], t]``, with ``panel`` the spot rates at its three nodes.
+    The best node, the shortest of equals, and its nearest distinct
+    neighbours bracket the root of that gap, which is searched with no
+    further pass: at a node the gap takes the node's value (the panel has
+    width 0), and between nodes it extends the last node at or before
+    ``t``, across whose panel no kink or event lies, since both cut the
+    pass. Without a sign change the better end wins. A curve flat to its
+    rounding, whose spread is within the largest rounding of a node,
+    gives the shortest rotation. ``objective(rotation)`` is called only
+    for the result, and at both ends when no root is bracketed.
 
     Raises:
         DomainError: empty grid, or a grid point not finite and > 0.
@@ -56,22 +66,29 @@ def _first_order_argmax(
     first, last = float(grid[0]), float(grid[-1])
     if not 0.0 < first <= last < math.inf:
         raise DomainError("rotation grid points must be finite and > 0")
-    with np.errstate(invalid="ignore", over="ignore"):
-        times, values, rounding = curve(with_rotation(scenario, last), grid)
-    inside = times >= first
-    taus, values = times[inside], values[inside]
     at = functools.cache(lambda tau: objective(with_rotation(scenario, tau)))
-    top = np.abs(values).max()  # NaN or inf is no flat curve
-    if top < math.inf and np.ptp(values) <= rounding[inside].max():
-        return first, at(first)[0]
-    best = taus[np.argmax(values)]  # nodes ascend, so ties go to the shorter
-    below, above = taus[taus < best], taus[taus > best]
-    lo = float(below[-1]) if below.size else float(best)
-    hi = float(above[0]) if above.size else float(best)
-    gap = lambda t: scenario.path.evaluate(t) - at(t)[1]  # has the slope's sign
-    root = _bracketed_root(gap, lo, hi, tol=1e-9 * max(1.0, hi))
-    tau = root if root is not None else max((lo, hi), key=lambda t: (at(t)[0], -t))
-    return tau, at(tau)[0]
+    with np.errstate(invalid="ignore", over="ignore"):
+        times, values, rounding, threshold = curve(with_rotation(scenario, last), grid)
+        inside = times >= first
+        taus, values = times[inside], values[inside]
+        top = np.abs(values).max()  # NaN or inf is no flat curve
+        flat = top < math.inf and np.ptp(values) <= rounding[inside].max()
+        best = taus[np.argmax(values)]  # nodes ascend, so ties go to the shorter
+        below, above = taus[taus < best], taus[taus > best]
+        lo = float(below[-1]) if below.size else float(best)
+        hi = float(above[0]) if above.size else float(best)
+
+        def gap(t: float) -> float:  # has the slope's sign
+            i = np.searchsorted(times, t, "right") - 1
+            step = (t - times[i]) / 2.0
+            panel = scenario.path._clipped_rates(np.array([times[i], times[i] + step, t]))
+            return float(panel[2] - threshold(i, t, step, panel))
+
+        root = None if flat else _bracketed_root(gap, lo, hi, tol=1e-9 * max(1.0, hi))
+    if flat:
+        return first, at(first)
+    tau = root if root is not None else max((lo, hi), key=lambda t: (at(t), -t))
+    return tau, at(tau)
 
 
 def _bracketed_root(

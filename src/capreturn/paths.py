@@ -93,8 +93,11 @@ class ReturnPath:
     def cumulative_return(self, t: float, *, intervals: int = DEFAULT_INTERVALS) -> float:
         """Integral of the spot rate from time 0 to ``t`` (dimensionless).
 
-        Computed by composite Simpson quadrature of about ``intervals``
-        subintervals over ``[0, t]``, cut at the path's kinks.
+        A path with an exact ``_antiderivative`` (a tabulated path) gives
+        its difference between 0 and ``t``; ``intervals`` is then unused.
+        Any other path, or a running sum of one beyond float range, takes
+        composite Simpson quadrature of about ``intervals`` subintervals
+        over ``[0, t]``, cut at the path's kinks.
 
         Raises:
             DomainError: if ``[0, t]`` leaves the path domain, or ``t`` is
@@ -107,9 +110,14 @@ class ReturnPath:
         upper = min(t, self.domain()[1])  # the slack admits t, not a longer integral
         if upper <= 0.0:
             return 0.0
-        ts, steps = _grid(0.0, upper, self._kinks(), intervals)
         with np.errstate(over="ignore", invalid="ignore"):  # judged below
-            total = _definite_integral(self._clipped_rates(ts), steps)
+            total = math.nan
+            if hasattr(self, "_antiderivative"):
+                start, end = self._antiderivative(np.array([0.0, upper]))
+                total = float(end - start)
+            if not math.isfinite(total):  # no exact integral, or a running sum beyond float range
+                ts, steps = _grid(0.0, upper, self._kinks(), intervals)
+                total = _definite_integral(self._clipped_rates(ts), steps)
         if not math.isfinite(total):
             raise DegenerateCapitalError(f"cumulative return to t={t:g} is beyond float range")
         return total
@@ -246,6 +254,29 @@ class TabulatedPath(_KnotTable, ReturnPath):
         if scale == 1.0:
             return np.interp(ts, times, rates)
         return np.interp(ts, times, rates / scale) * scale
+
+    @cached_property
+    def _knot_integrals(self) -> np.ndarray:
+        """Integral of the rate from the first knot to each knot: the
+        running sum of the trapezoids between knots, each taken as
+        ``w/2 * r_i + w/2 * r_(i+1)`` so that no sum or difference of
+        two rates is formed, which could leave float range."""
+        times, rates = self._knot_arrays
+        half = np.diff(times) / 2.0
+        with np.errstate(over="ignore", invalid="ignore"):  # judged by the callers
+            return np.concatenate(([0.0], np.cumsum(half * rates[:-1] + half * rates[1:])))
+
+    def _antiderivative(self, ts: np.ndarray) -> np.ndarray:
+        """Integral of the rate from the first knot to each of ``ts``,
+        moved into the domain: the running sum to the knot at or below,
+        plus the trapezoid from that knot to the time, which is exact for
+        a linear rate. Not finite where a running sum is beyond float
+        range."""
+        times, rates = self._knot_arrays
+        ts = np.clip(ts, times[0], times[-1])
+        below = np.searchsorted(times, ts, "right") - 1
+        half = (ts - times[below]) / 2.0
+        return self._knot_integrals[below] + (half * rates[below] + half * self._rates(ts))
 
 
 @dataclass(frozen=True)

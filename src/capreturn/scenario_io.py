@@ -49,7 +49,7 @@ from .estate import AgeDensity, EstateSpec, TabulatedAgeDensity, UniformAgeDensi
 from .growth import GrowthScenario, InvestmentEvent
 from .irr import CashEvent, CashFlowSchedule
 from .paths import ConstantPath, ReturnPath, ReversedPath, SinSquaredPath, TabulatedPath
-from .paths import _require_within
+from .paths import MAX_REVERSALS, _require_within
 from .quadrature import DEFAULT_INTERVALS
 
 SCHEMA_VERSION = 1
@@ -118,14 +118,16 @@ class _Check:
                 self.fail(f"{path}.{key}" if path else key, "unknown key")
 
 
-def _build(spec, obj, check: _Check, key: str):
+def _build(spec, obj, check: _Check, key: str, reversals: int = 0):
     """The object at ``key``, built through its dataclass fields, or None
     after recording why not.
 
     ``spec`` is the class itself, or a table of classes by ``kind``. The
     ``knots`` field reads as [time, value] pairs, ``inner`` as a path and
     every other field as a number; every field is required. A ValueError
-    from the constructor is reported at ``key``.
+    from the constructor is reported at ``key``. ``reversals`` counts the
+    reversed paths around ``obj``: a chain longer than ``MAX_REVERSALS``
+    is reported at its outermost key, and its inner paths are not read.
     """
     if not isinstance(obj, dict):
         check.fail(key, "must be an object")
@@ -146,7 +148,11 @@ def _build(spec, obj, check: _Check, key: str):
         if f.name == "knots":
             values[f.name] = _parse_knots(obj.get(f.name), check, where)
         elif f.name == "inner":
-            values[f.name] = _build(_PATHS, obj.get(f.name), check, where)
+            if reversals == MAX_REVERSALS:
+                outermost = key.removesuffix(".inner" * reversals)
+                check.fail(outermost, f"reversed paths nest at most {MAX_REVERSALS} deep")
+                return None
+            values[f.name] = _build(_PATHS, obj.get(f.name), check, where, reversals + 1)
         else:
             values[f.name] = check.number(obj.get(f.name), where)
     if None in values.values():
@@ -208,8 +214,8 @@ def parse_scenario(text: str) -> ScenarioDocument:
         raise ScenarioParseError(
             f"line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
-    except RecursionError:  # in json.loads, or from Python 3.12 (whose json.loads
-        # reads deeper than Python calls may recurse) in _build's descent
+    except RecursionError:  # in json.loads; _build stops a reversal chain
+        # at MAX_REVERSALS, so its descent stays shallow
         raise ScenarioParseError("document nests too deeply") from None
 
 

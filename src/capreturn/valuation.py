@@ -23,11 +23,11 @@ import math
 import numpy as np
 
 from .errors import DegenerateCapitalError, IndeterminateRatioError, InvalidDiscountError
-from .growth import GrowthScenario, _cycle_averages, _exp
+from .growth import GrowthScenario, _cycle_returns, _exp
 from .irr import growth_cycle_irr
 from .leverage import _require_leverage
 from .optimize import _first_order_argmax, _rounding
-from .quadrature import DEFAULT_INTERVALS
+from .quadrature import DEFAULT_INTERVALS, _definite_integral
 
 
 def _require_discount(discount_rate: float) -> None:
@@ -94,17 +94,21 @@ def _npv_argmax(
     _require_discount(discount_rate)
 
     def curve(longest: GrowthScenario, grid: np.ndarray):
-        times, avg = _cycle_averages(longest, grid, intervals)
+        times, returns = _cycle_returns(longest, grid, intervals)
+        avg = returns / times
         gain, factor = times * (avg - discount_rate), -np.expm1(-discount_rate * times)
         rounding = _rounding(times * avg) * np.exp(gain) / factor
-        return times, np.expm1(gain) / factor, rounding
 
-    def objective(rotation: GrowthScenario) -> tuple[float, float]:
-        avg, tau = growth_cycle_irr(rotation, intervals=intervals), rotation.rotation_length
-        threshold = discount_rate * (1.0 - _exp(-tau * avg)) / -math.expm1(-discount_rate * tau)
-        return _npv(rotation.initial_capital, avg, tau, discount_rate), threshold
+        def threshold(i, t, step, panel):
+            cumulative = returns[i] + _definite_integral(panel, step)
+            return discount_rate * -np.expm1(-cumulative) / -np.expm1(-discount_rate * t)
 
-    return _first_order_argmax(scenario, rotation_grid, curve, objective)
+        return times, np.expm1(gain) / factor, rounding, threshold
+
+    return _first_order_argmax(
+        scenario, rotation_grid, curve,
+        lambda rotation: npv(rotation, discount_rate, intervals=intervals),
+    )
 
 
 def leveraged_npv(

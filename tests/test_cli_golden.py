@@ -10,8 +10,10 @@ the same hump played backwards from its rotation length
 tabulated ones cut their grids at the knots and the event, so they pin
 the cut-grid Simpson sums and the event capital build. The hump outputs
 were written by the code before the quadrature passes were made cheaper,
-and the tabulated ones before the unread scenario sections were removed,
-so a refactor that moves one printed digit fails here. Regenerate them only for a change that is
+the tabulated ones before the unread scenario sections were removed, and
+the tabulated ``optimize`` irr, npv and rroe ones before the rotation
+search stopped making a pass per trial rotation, so a refactor that moves
+one printed digit fails here. Regenerate them only for a change that is
 meant to alter the printed numbers, and say so where the change is
 recorded.
 """
@@ -38,6 +40,16 @@ COMMANDS = {
     "optimize_tabulated_event_rroc": [
         "optimize", "--scenario", "tabulated_event.json", "--objective", "rroc", *RATES
     ],
+    "optimize_tabulated_event_rroe": [
+        "optimize", "--scenario", "tabulated_event.json", "--objective", "rroe",
+        "--u", "0.01", "--u", "0.02",
+    ],
+    **{
+        f"optimize_tabulated_{objective}": [
+            "optimize", "--scenario", "tabulated.json", "--objective", objective, *RATES
+        ]
+        for objective in ("irr", "npv")
+    },
     **{
         f"optimize_hump_{objective}": [
             "optimize", "--scenario", "hump.json", "--objective", objective, *RATES

@@ -25,6 +25,7 @@ from capreturn import (
     rroc,
     with_rotation,
 )
+from capreturn import growth as growth_module
 from oracles import (
     capital_by_spans,
     capital_by_stepping,
@@ -109,6 +110,46 @@ class TestCapitalAt:
         )
         with pytest.raises(DegenerateCapitalError):
             capital_at(s, 9.0)
+
+    # The same semantics on the Simpson pass and on a tabulated path's
+    # exact integral, which needs no pass.
+    SIMPSON_AND_EXACT = pytest.mark.parametrize("exact", [False, True], ids=["simpson", "exact"])
+
+    @staticmethod
+    def flat(rate, tau, exact):
+        return TabulatedPath(((0.0, rate), (tau, rate))) if exact else ConstantPath(rate)
+
+    @SIMPSON_AND_EXACT
+    def test_nonpositive_capital_from_its_event_on(self, exact):
+        events = (InvestmentEvent(2.0, 0.5), InvestmentEvent(5.0, -2.0))
+        s = GrowthScenario(1.0, 10.0, self.flat(0.05, 10.0, exact), events)
+        before = math.exp(0.245) + 0.5 * math.exp(0.145)
+        assert capital_at(s, 4.9) == pytest.approx(before, rel=1e-12)
+        message = "^capital nonpositive just after event at t=5$"
+        for t in (5.0, 9.0):
+            with pytest.raises(DegenerateCapitalError, match=message):
+                capital_at(s, t)
+
+    @SIMPSON_AND_EXACT
+    def test_capital_beyond_float_range_from_where_it_overflows(self, exact):
+        # exp(8 * 88) fits in a float, exp(8 * 89) does not.
+        path = self.flat(8.0, 100.0, exact)
+        s = GrowthScenario(1.0, 100.0, path, (InvestmentEvent(95.0, -1.0),))
+        assert capital_at(s, 88.0) == pytest.approx(math.exp(704.0), rel=1e-12)
+        for t in (89.0, 95.0, 100.0):
+            with pytest.raises(DegenerateCapitalError, match="^capital beyond float range at t="):
+                capital_at(s, t)
+
+    def test_tabulated_path_needs_no_pass(self, monkeypatch):
+        events = (InvestmentEvent(5.2, 0.6), InvestmentEvent(12.1, -0.4))
+        s = GrowthScenario(1.5, 20.0, TabulatedPath(KINKED), events)
+        expected = [capital_at(s, t) for t in (3.0, 5.2, 12.1, 20.0)]
+
+        def refused(*args):
+            raise AssertionError("no pass expected")
+
+        monkeypatch.setattr(growth_module, "_segments", refused)
+        assert [capital_at(s, t) for t in (3.0, 5.2, 12.1, 20.0)] == expected
 
 
 class TestScenarioValidation:

@@ -88,6 +88,17 @@ class TestIrrSearch:
 
         assert tau == pytest.approx(bisect_root(rate_gap, tau - 1.0, tau + 1.0), abs=1e-8)
 
+    def test_one_single_point_irr_per_search(self, name, monkeypatch):
+        calls = []
+
+        def counted(rotation, **kwargs):
+            calls.append(rotation.rotation_length)
+            return growth_cycle_irr(rotation, **kwargs)
+
+        monkeypatch.setattr(irr_module, "growth_cycle_irr", counted)
+        tau, _ = _irr_argmax(SEARCH_SCENARIOS[name], self.grid(SEARCH_SCENARIOS[name]), 4096)
+        assert calls == [tau]
+
     def test_not_below_golden_section(self, name):
         s = SEARCH_SCENARIOS[name]
         tau, value = _irr_argmax(s, self.grid(s), 4096)

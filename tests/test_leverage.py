@@ -353,8 +353,28 @@ class TestRrocSearch:
         assert value == rroc(with_rotation(s, tau), intervals=1024)
 
     def test_few_capital_return_passes(self, rroc_calls):
-        rroe_argmax(hump_scenario(), 1.0, 0.02, TestSharedSearch.GRID)
-        assert 0 < len(rroc_calls) <= 12
+        # The root is refined on the pass over the longest rotation: the
+        # one single-point capital return is the value at the optimum.
+        tau = rroe_argmax(hump_scenario(), 1.0, 0.02, TestSharedSearch.GRID)
+        assert rroc_calls == [tau]
+
+    @pytest.mark.parametrize("knee", [19.5, 20.0], ids=["before", "after"])
+    def test_grid_point_on_an_event(self, rroc_calls, knee):
+        # An injection at t = 20, which is also a grid point and a knot.
+        # The rate falls steeply over [knee, knee + 0.5], so the spot rate
+        # meets the capital return just before the event or just after it,
+        # where the search extends the post-jump node. A rotation ending
+        # at 20 drops the event.
+        knots = ((0.0, 0.02), (knee, 0.10), (knee + 0.5, -0.5), (40.0, -0.5))
+        s = GrowthScenario(1.0, 40.0, TabulatedPath(knots), (InvestmentEvent(20.0, 5.0),))
+        assert with_rotation(s, 20.0).investments == ()
+        tau = rroe_argmax(s, 1.0, 0.02, (10.0, 20.0, 30.0))
+        assert rroc_calls == [tau]
+
+        def rate_gap(t):
+            return s.path.evaluate(t) - rroc(with_rotation(s, t), intervals=65536)
+
+        assert tau == pytest.approx(bisect_root(rate_gap, knee, knee + 0.5), abs=1e-8)
 
     def test_one_point_grid(self, rroc_calls):
         s = hump_scenario()

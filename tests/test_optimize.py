@@ -18,16 +18,50 @@ class TestFirstOrderArgmax:
         def curve(longest, grid):
             times = np.linspace(0.0, longest.rotation_length, 101)
             values = 0.05 + spread * times  # rising: the maximum is at 10
-            return times, values, _rounding(values)
+            return times, values, _rounding(values), lambda i, t, step, panel: 0.0
 
         def objective(rotation):
             calls.append(rotation.rotation_length)
-            return 0.05, 0.05
+            return 0.05
 
         tau, value = _first_order_argmax(s, (10.0, 1.0), curve, objective)
         assert (tau == 1.0) == flat
         assert value == 0.05
-        assert (calls == [1.0]) == flat  # otherwise the best node's bracket is searched
+        # Otherwise the best node's bracket is searched: the rate stays
+        # above the threshold 0, so no root is bracketed and both ends are
+        # valued.
+        assert calls == ([1.0] if flat else [9.9, 10.0])
+
+    def test_the_gap_extends_the_last_node_by_one_panel(self):
+        # Nodes at 0, 2, ..., 10 with the best at 10; the threshold
+        # 0.05 * t / 9, built from node i and the panel's step, meets the
+        # spot rate 0.05 at t = 9, inside the bracket [8, 10].
+        s = GrowthScenario(1.0, 10.0, ConstantPath(0.05))
+        times = np.arange(0.0, 11.0, 2.0)
+        seen, valued = [], []
+
+        def curve(longest, grid):
+            values = np.linspace(0.0, 1.0, times.size)
+
+            def threshold(i, t, step, panel):
+                seen.append((int(i), t, step, tuple(panel)))
+                return 0.05 * (times[i] + 2.0 * step) / 9.0
+
+            return times, values, _rounding(values), threshold
+
+        def objective(rotation):
+            valued.append(rotation.rotation_length)
+            return 0.0
+
+        tau, _ = _first_order_argmax(s, (10.0, 1.0), curve, objective)
+        assert tau == pytest.approx(9.0, abs=1e-8)
+        assert valued == [tau]
+        # At a node the panel has width 0; between nodes it starts at the
+        # last node at or before t.
+        assert seen[:2] == [(4, 8.0, 0.0, (0.05,) * 3), (5, 10.0, 0.0, (0.05,) * 3)]
+        assert len(seen) > 2
+        assert all(i == 4 and 8.0 < t < 10.0 for i, t, _, _ in seen[2:])
+        assert all(step == (t - times[i]) / 2.0 for i, t, step, _ in seen)
 
 
 class TestBracketedRoot:

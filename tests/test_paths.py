@@ -16,6 +16,7 @@ from capreturn import (
     TabulatedAgeDensity,
     TabulatedPath,
 )
+from capreturn.quadrature import _definite_integral, _grid
 from oracles import linear_rate_integral, midpoint_integral
 
 MEAN, SHAPE, CYCLE = 0.05, 0.5, 100.0
@@ -203,14 +204,73 @@ class TestCumulativeReturn:
                 ).cumulative_return(1.0),
                 5e307,
             ),
+            (
+                lambda: TabulatedPath(
+                    ((-1.0, 1e308), (0.0, 1e308), (1.0, 1e308), (2.0, -1e308))
+                ).cumulative_return(1.0),
+                1e308,
+            ),
         ],
-        ids=["constant-average", "tabulated-integral", "tabulated-pieces"],
+        ids=["constant-average", "tabulated-integral", "tabulated-pieces",
+             "tabulated-running-sum"],
     )
     def test_integral_within_float_range_is_finite(self, call, exact):
         # Every rate fits in a float and so does the integral, but the
         # Simpson sum of the rates overflows on the way (one piece, then
-        # two pieces cut at a kink).
+        # two pieces cut at a kink), or the exact antiderivative's running
+        # sum from the first knot does (2e308 at t = 1), which then takes
+        # the Simpson route.
         assert call() == pytest.approx(exact, rel=1e-12, abs=1e-12 * 1e308)
+
+
+def long_table(n=1000, seed=7):
+    """A seeded table of ``n`` knots from t = -0.05, with uneven steps and
+    positive rates."""
+    rng = np.random.default_rng(seed)
+    times = np.cumsum(np.append(-0.05, rng.uniform(0.01, 0.2, n - 1)))
+    return TabulatedPath(tuple(zip(times.tolist(), rng.uniform(0.01, 0.1, n).tolist())))
+
+
+class TestAntiderivative:
+    """A tabulated path's exact integral, which its cumulative return and
+    ``growth.capital_at`` read instead of a Simpson pass."""
+
+    @pytest.mark.parametrize("path", [TabulatedPath(KINKED), long_table()], ids=["kinked", "long"])
+    def test_central_difference_is_the_rate_off_the_knots(self, path):
+        times = path._knot_arrays[0]
+        ts = (times[:-1] + times[1:]) / 2.0
+        h = np.diff(times).min() / 8.0
+        difference = (path._antiderivative(ts + h) - path._antiderivative(ts - h)) / (2.0 * h)
+        assert difference == pytest.approx(path._rates(ts), rel=1e-9, abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "path, t", [(TabulatedPath(KINKED), 13.37), (TabulatedPath(KINKED), 20.0),
+                    (long_table(), 55.5)], ids=["kinked", "kinked-end", "long"])
+    def test_matches_a_fine_simpson_sum(self, path, t):
+        ts, steps = _grid(0.0, t, path._kinks(), 2**16)
+        fine = _definite_integral(path._clipped_rates(ts), steps)
+        start, end = path._antiderivative(np.array([0.0, t]))
+        assert end - start == pytest.approx(fine, rel=1e-13)
+        assert path.cumulative_return(t) == end - start
+
+    def test_running_sum_of_a_long_table(self):
+        path = long_table()
+        times, rates = path._knot_arrays
+        pieces = [(b - a) * (x + y) / 2.0
+                  for a, b, x, y in zip(times, times[1:], rates, rates[1:])]
+        reference = np.array([math.fsum(pieces[:k]) for k in range(len(times))])
+        assert path._antiderivative(times) == pytest.approx(reference, rel=1e-14, abs=0.0)
+
+    def test_reversal_takes_the_simpson_route(self, monkeypatch):
+        rev = ReversedPath(TabulatedPath(KINKED), 20.0)
+
+        def refused(self, ts):
+            raise AssertionError("a reversal has no exact antiderivative")
+
+        monkeypatch.setattr(TabulatedPath, "_antiderivative", refused)
+        for t in (5.0, 13.37, 20.0):
+            exact = linear_rate_integral(KINKED, 20.0 - t, 20.0)
+            assert rev.cumulative_return(t) == pytest.approx(exact, rel=1e-13)
 
 
 class TestTimeAverage:

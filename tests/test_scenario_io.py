@@ -256,28 +256,43 @@ class TestParse:
             parse_scenario("[" * 5000 + "]" * 5000)
 
     def test_reversal_chain_beyond_the_recursion_limit_is_a_parse_error(self):
-        # Built as text: json.dumps cannot write it. Python 3.11 stops in
-        # json.loads, later versions in the descent through "inner".
+        # Built as text: json.dumps cannot write it. Python 3.11's json.loads
+        # stops at this depth; a reader that goes deeper hands the chain to
+        # the parser, which reports it at "path".
         n = 1200
         head = '{"kind": "reversed", "horizon": 10, "inner": '
         path = head * n + '{"kind": "constant", "rate": 0}' + "}" * n
-        with pytest.raises(ScenarioParseError, match="nests too deeply"):
-            parse_scenario('{"K0": 1, "tau": 10, "path": ' + path + "}")
+        text = '{"K0": 1, "tau": 10, "path": ' + path + "}"
+        try:
+            json.loads(text)
+        except RecursionError:
+            with pytest.raises(ScenarioParseError, match="nests too deeply"):
+                parse_scenario(text)
+        else:
+            with pytest.raises(ScenarioValidationError) as err:
+                parse_scenario(text)
+            assert err.value.violations == [
+                ("path", f"reversed paths nest at most {MAX_REVERSALS} deep")
+            ]
 
-    def test_chain_too_deep_to_build_is_a_parse_error(self, monkeypatch):
-        # The descent through "inner" as it runs where json.loads reads
-        # deeper than the recursion limit of Python calls (Python 3.12+).
+    def test_chain_deeper_than_the_recursion_limit_is_reported_at_path(self, monkeypatch):
+        # As json.loads gives it where it reads deeper than the recursion
+        # limit of Python calls (Python 3.12+): the parser stops descending
+        # at the first reversal past the bound.
         raw = {"K0": 1.0, "tau": 10.0, "path": reversed_chain(5000)}
         monkeypatch.setattr(json, "loads", lambda text: raw)
-        with pytest.raises(ScenarioParseError, match="nests too deeply"):
+        with pytest.raises(ScenarioValidationError) as err:
             parse_scenario("{}")
+        assert err.value.violations == [
+            ("path", f"reversed paths nest at most {MAX_REVERSALS} deep")
+        ]
 
     def test_deep_reversal_chain_is_reported_under_path(self):
         doc = {"K0": 1.0, "tau": 10.0, "path": reversed_chain(500)}
         with pytest.raises(ScenarioValidationError) as err:
             parse_scenario(json.dumps(doc))
         [(key, message)] = err.value.violations
-        assert key == "path" + ".inner" * (500 - MAX_REVERSALS - 1)
+        assert key == "path"
         assert message == f"reversed paths nest at most {MAX_REVERSALS} deep"
 
     def test_longest_reversal_chain_is_accepted(self):

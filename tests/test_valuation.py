@@ -24,6 +24,7 @@ from capreturn import (
     npv,
     with_rotation,
 )
+from capreturn import valuation as valuation_module
 from capreturn.valuation import _npv_argmax
 from oracles import bisect_root, npv_rotation_series, refine_argmax
 
@@ -239,6 +240,17 @@ class TestNpvSearch:
             return s.path.evaluate(t) - d * (1.0 + value / (s.initial_capital * math.exp(t * avg)))
 
         assert tau == pytest.approx(bisect_root(rate_gap, tau - 1.0, tau + 1.0), abs=1e-8)
+
+    def test_one_single_point_npv_per_search(self, name, d, monkeypatch):
+        calls = []
+
+        def counted(rotation, **kwargs):
+            calls.append(rotation.rotation_length)
+            return growth_cycle_irr(rotation, **kwargs)
+
+        monkeypatch.setattr(valuation_module, "growth_cycle_irr", counted)
+        tau, _ = _npv_argmax(SEARCH_SCENARIOS[name], d, self.grid(SEARCH_SCENARIOS[name]), 4096)
+        assert calls == [tau]
 
     def test_not_below_golden_section(self, name, d):
         s = SEARCH_SCENARIOS[name]
