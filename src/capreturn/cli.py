@@ -29,7 +29,7 @@ import numpy as np
 from .errors import CapReturnError, ScenarioParseError
 from .growth import rroc, with_rotation
 from .irr import _irr_argmax, general_irr, growth_cycle_irr
-from .leverage import _rroc_optimum, leveraged_discount_rate, rroe, rroe_argmax
+from .leverage import leveraged_discount_rate, rroe, rroe_argmax
 from .scenario_io import (
     MAX_INTERVALS,
     ScenarioDocument,
@@ -218,7 +218,7 @@ def _cmd_sweep(args) -> int:
 
 def _competing_report(doc: ScenarioDocument, tau: float, s: float | None, args) -> list[str]:
     """The criteria at ``tau``; ``s`` is the capital return there, when the
-    search has it already."""
+    objective's valuation has it already."""
     intervals = doc.quadrature_intervals
     scenario = with_rotation(doc.scenario(), tau)
     if s is None:
@@ -234,34 +234,41 @@ def _competing_report(doc: ScenarioDocument, tau: float, s: float | None, args) 
 
 
 def _cmd_optimize(args) -> int:
+    """Each search returns tau* alone; the objective is valued there once."""
     doc = parse_scenario(_read_text(args.scenario))
     intervals = doc.quadrature_intervals
     grid = _tau_grid(args, doc)
     base = doc.scenario()
 
     def optima():
-        """(label, (tau*, value), rroc at tau* or None) per objective,
-        each found as it is needed."""
+        """(label, tau*, value, rroc at tau* or None) per objective, each
+        found as it is needed."""
         if args.objective == "rroc":
-            optimum = _rroc_optimum(base, grid, intervals)
-            yield "objective rroc", optimum, optimum[1]
+            # At leverage 0 the equity return is the capital return.
+            tau = rroe_argmax(base, 0.0, 0.0, grid, intervals=intervals)
+            s = rroc(with_rotation(base, tau), intervals=intervals)
+            yield "objective rroc", tau, s, s
         elif args.objective == "irr":
-            yield "objective irr", _irr_argmax(base, grid, intervals), None
+            tau = _irr_argmax(base, grid, intervals)
+            irr = growth_cycle_irr(with_rotation(base, tau), intervals=intervals)
+            yield "objective irr", tau, irr, None
         elif args.objective == "npv":
             for d in _rates(args.d, "--d", "objective npv"):
-                yield f"objective npv, d={d:g}", _npv_argmax(base, d, grid, intervals), None
+                tau = _npv_argmax(base, d, grid, intervals)
+                value = npv(with_rotation(base, tau), d, intervals=intervals)
+                yield f"objective npv, d={d:g}", tau, value, None
         elif args.objective == "rroe":
-            # One capital-return search serves every market rate: rroe_argmax
-            # checks --L, and its remembered search gives rroc at tau*.
-            for u in _rates(args.u, "--u", "objective rroe"):
-                tau = rroe_argmax(base, args.L, u, grid, intervals=intervals)
-                _, s = _rroc_optimum(base, grid, intervals)
-                yield f"objective rroe, L={args.L:g}, u={u:g}", (tau, rroe(s, args.L, u)), s
+            # One optimum serves every market rate, and one capital return.
+            rates = _rates(args.u, "--u", "objective rroe")
+            tau = rroe_argmax(base, args.L, rates[0], grid, intervals=intervals)
+            s = rroc(with_rotation(base, tau), intervals=intervals)
+            for u in rates:
+                yield f"objective rroe, L={args.L:g}, u={u:g}", tau, rroe(s, args.L, u), s
 
     # The whole report is built before any of it is printed, so a failure
     # leaves only its error line.
     report = []
-    for label, (tau_star, value), s in optima():
+    for label, tau_star, value, s in optima():
         report += [
             f"{label}: tau* = {tau_star:.9g}, value = {value:.9g}",
             "competing criteria at tau*:",

@@ -83,12 +83,16 @@ class ExpectedValues:
 
 
 def _exp(x: float) -> float:
-    """``math.exp(x)``, with overflow raised as DegenerateCapitalError: the
-    closed forms' growth factors must stay within float range."""
+    """``math.exp(x)``, with an overflow or an infinite result raised as
+    DegenerateCapitalError: the closed forms' growth factors must stay
+    within float range."""
     try:
-        return math.exp(x)
+        value = math.exp(x)
     except OverflowError:
-        raise DegenerateCapitalError(f"growth factor exp({x:.6g}) is beyond float range") from None
+        value = math.inf
+    if value == math.inf:
+        raise DegenerateCapitalError(f"growth factor exp({x:.6g}) is beyond float range")
+    return value
 
 
 def _cycle_returns(scenario: GrowthScenario, cuts, intervals: int):

@@ -132,10 +132,10 @@ def growth_cycle_irr(
     return scenario.path.time_average_rate(scenario.rotation_length, intervals=intervals)
 
 
-def _irr_argmax(scenario: GrowthScenario, rotation_grid, intervals: int) -> tuple[float, float]:
+def _irr_argmax(scenario: GrowthScenario, rotation_grid, intervals: int) -> float:
     """``optimize._first_order_argmax`` of the IRR, the time-average rate
     ``R / tau``: its slope ``(r(tau) - irr(tau)) / tau`` vanishes where the
-    spot rate falls to it."""
+    spot rate falls to it. Returns the rotation length alone."""
 
     def curve(longest: GrowthScenario, grid: np.ndarray):
         times, returns = _cycle_returns(longest, grid, intervals)
@@ -146,12 +146,7 @@ def _irr_argmax(scenario: GrowthScenario, rotation_grid, intervals: int) -> tupl
 
         return times, avg, _rounding(avg), threshold
 
-    return _first_order_argmax(
-        scenario,
-        rotation_grid,
-        curve,
-        lambda rotation: growth_cycle_irr(rotation, intervals=intervals),
-    )
+    return _first_order_argmax(scenario, rotation_grid, curve)
 
 
 def _common_step(times: list[float]) -> float:

@@ -14,8 +14,8 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from .errors import InvalidLeverageError, WipedOutEquityError
-from .growth import GrowthScenario, _exp, _segments, rroc
+from .errors import DegenerateCapitalError, InvalidLeverageError, WipedOutEquityError
+from .growth import GrowthScenario, _exp, _segments
 from .irr import growth_cycle_irr
 from .memo import remember_latest
 from .optimize import _first_order_argmax, _rounding
@@ -37,11 +37,18 @@ def rroe(return_on_capital: float, leverage: float, market_rate: float) -> float
     ``s + L * (s - u)``: borrowing amplifies the spread of the capital
     return ``s`` over the market rate ``u``; at leverage -1 everything
     is lent and the result is the market rate itself.
+
+    Raises:
+        DegenerateCapitalError: the result is not finite.
     """
     _require_leverage(leverage)
     if leverage == -1.0:
-        return market_rate
-    return return_on_capital + leverage * (return_on_capital - market_rate)
+        value = market_rate
+    else:
+        value = return_on_capital + leverage * (return_on_capital - market_rate)
+    if not math.isfinite(value):
+        raise DegenerateCapitalError("return on equity is beyond float range")
+    return value
 
 
 def leveraged_discount_rate(
@@ -78,7 +85,7 @@ def leveraged_discount_rate(
         (1.0 + leverage) * _exp(avg * tau)
         - leverage * _exp(market_rate * tau)
     ) * _exp(-rate * tau) - 1.0
-    if abs(check) > 1e-9:
+    if not abs(check) <= 1e-9:
         raise WipedOutEquityError(
             "leveraged terminal value is within rounding of zero; the break-even "
             f"rate fails its zero-value check (residual {check:.3e})"
@@ -89,7 +96,7 @@ def leveraged_discount_rate(
 @remember_latest
 def _rroc_argmax(
     scenario: GrowthScenario, rotation_grid: tuple[float, ...], intervals: int
-) -> tuple[float, float]:
+) -> float:
     """``optimize._first_order_argmax`` of the capital return, whose
     threshold is the capital return itself:
     ``d rroc / d tau = K(tau) / C(tau) * (r(tau) - rroc(tau))``, with ``C``
@@ -123,16 +130,7 @@ def _rroc_argmax(
 
         return times, ratio, _rounding(ratio), threshold
 
-    return _first_order_argmax(
-        scenario, rotation_grid, curve, lambda s: rroc(s, intervals=intervals)
-    )
-
-
-def _rroc_optimum(
-    scenario: GrowthScenario, rotation_grid: Sequence[float], intervals: int
-) -> tuple[float, float]:
-    """``_rroc_argmax`` of any grid sequence."""
-    return _rroc_argmax(scenario, tuple(map(float, rotation_grid)), intervals)
+    return _first_order_argmax(scenario, rotation_grid, curve)
 
 
 def rroe_argmax(
@@ -149,9 +147,11 @@ def rroe_argmax(
     The equity return ``(1 + L) * rroc - L * u`` is a positive affine
     transform of the capital return whenever leverage exceeds -1, so its
     maximizer is the capital return's own, ``r(tau*) = rroc(tau*)``, the
-    same for every market rate and leverage. The grid bounds the search
-    range, not the candidates. A flat capital return (a constant path)
-    gives the shortest rotation of the grid. The latest search is
+    same for every market rate and leverage; at ``L = 0`` it is the
+    capital return's maximizer. The grid bounds the search range, not the
+    candidates. A flat capital return (a constant path) gives the
+    shortest rotation of the grid. The search is one pass over the
+    longest rotation and values no rotation; the latest search is
     remembered, unless the scenario cannot be hashed (a path of a
     non-frozen dataclass, say).
 
@@ -160,10 +160,11 @@ def rroe_argmax(
             exactly -1 the equity return is the market rate at every
             rotation length, so the maximizer is undefined).
         DomainError: empty grid, or a grid point not finite and > 0.
+        DegenerateCapitalError: from the pass over the longest rotation.
     """
     _require_leverage(leverage)
     if leverage == -1.0:
         raise InvalidLeverageError(
             "equity-return maximizer needs leverage strictly above -1"
         )
-    return _rroc_optimum(scenario, rotation_grid, intervals)[0]
+    return _rroc_argmax(scenario, tuple(map(float, rotation_grid)), intervals)

@@ -1,17 +1,17 @@
 """The one rotation-length search behind every ``optimize`` objective:
 the optimum is where the spot rate falls to the objective's threshold,
 bracketed by the best node of one pass over the longest rotation and
-found on that pass's running sums, with no further pass."""
+found on that pass's running sums, with no further pass. It returns the
+rotation length alone: a caller that needs the objective there values it."""
 
 from __future__ import annotations
 
-import functools
 import math
 from collections.abc import Callable, Sequence
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DegenerateCapitalError, DomainError
 from .growth import GrowthScenario, with_rotation
 
 # A node value computed to about float precision lies within this share
@@ -33,10 +33,9 @@ def _first_order_argmax(
         [GrowthScenario, np.ndarray],
         tuple[np.ndarray, np.ndarray, np.ndarray, Callable[..., float]],
     ],
-    objective: Callable[[GrowthScenario], float],
-) -> tuple[float, float]:
+) -> float:
     """Rotation length maximizing an objective between the shortest and
-    the longest rotation of the grid, and the objective there.
+    the longest rotation of the grid.
 
     ``curve(longest, grid)`` reads one pass over the longest rotation,
     cut at every grid point, and gives ``(times, values, rounding,
@@ -52,13 +51,14 @@ def _first_order_argmax(
     further pass: at a node the gap takes the node's value (the panel has
     width 0), and between nodes it extends the last node at or before
     ``t``, across whose panel no kink or event lies, since both cut the
-    pass. Without a sign change the better end wins. A curve flat to its
-    rounding, whose spread is within the largest rounding of a node,
-    gives the shortest rotation. ``objective(rotation)`` is called only
-    for the result, and at both ends when no root is bracketed.
+    pass. Without a sign change the best node is the result. A curve flat
+    to its rounding, whose spread is within the largest rounding of a
+    node, gives the shortest rotation.
 
     Raises:
         DomainError: empty grid, or a grid point not finite and > 0.
+        DegenerateCapitalError: a node value within the grid's span is
+            not finite.
     """
     grid = np.sort(rotation_grid)  # NaN last
     if not grid.size:
@@ -66,17 +66,18 @@ def _first_order_argmax(
     first, last = float(grid[0]), float(grid[-1])
     if not 0.0 < first <= last < math.inf:
         raise DomainError("rotation grid points must be finite and > 0")
-    at = functools.cache(lambda tau: objective(with_rotation(scenario, tau)))
     with np.errstate(invalid="ignore", over="ignore"):
         times, values, rounding, threshold = curve(with_rotation(scenario, last), grid)
         inside = times >= first
         taus, values = times[inside], values[inside]
-        top = np.abs(values).max()  # NaN or inf is no flat curve
-        flat = top < math.inf and np.ptp(values) <= rounding[inside].max()
-        best = taus[np.argmax(values)]  # nodes ascend, so ties go to the shorter
+        if not np.isfinite(values).all():
+            raise DegenerateCapitalError("objective is beyond float range on the grid")
+        if np.ptp(values) <= rounding[inside].max():
+            return first
+        best = float(taus[np.argmax(values)])  # nodes ascend, so ties go to the shorter
         below, above = taus[taus < best], taus[taus > best]
-        lo = float(below[-1]) if below.size else float(best)
-        hi = float(above[0]) if above.size else float(best)
+        lo = float(below[-1]) if below.size else best
+        hi = float(above[0]) if above.size else best
 
         def gap(t: float) -> float:  # has the slope's sign
             i = np.searchsorted(times, t, "right") - 1
@@ -84,11 +85,8 @@ def _first_order_argmax(
             panel = scenario.path._clipped_rates(np.array([times[i], times[i] + step, t]))
             return float(panel[2] - threshold(i, t, step, panel))
 
-        root = None if flat else _bracketed_root(gap, lo, hi, tol=1e-9 * max(1.0, hi))
-    if flat:
-        return first, at(first)
-    tau = root if root is not None else max((lo, hi), key=lambda t: (at(t), -t))
-    return tau, at(tau)
+        root = _bracketed_root(gap, lo, hi, tol=1e-9 * max(1.0, hi))
+    return best if root is None else root
 
 
 def _bracketed_root(

@@ -83,14 +83,15 @@ def npv(
 
 def _npv_argmax(
     scenario: GrowthScenario, discount_rate: float, rotation_grid, intervals: int
-) -> tuple[float, float]:
+) -> float:
     """``optimize._first_order_argmax`` of the present value ``N``, which
     solves ``N * (1 - exp(-d*tau)) = K0 * (exp(R - d*tau) - 1)`` with
     ``R = tau * avg`` the cumulative return. Its slope has the sign of
     ``r(tau) - d * (1 - exp(-R)) / (1 - exp(-d*tau))``: the Faustmann
     rotation, which moves with ``d``. The curve is ``N / K0``, built from
     ``g = R - d*tau``; ``g`` carries the rounding of ``R``, which grows
-    with ``R``, and ``N / K0`` carries it times ``exp(g) / (1 - exp(-d*tau))``."""
+    with ``R``, and ``N / K0`` carries it times ``exp(g) / (1 - exp(-d*tau))``.
+    Returns the rotation length alone."""
     _require_discount(discount_rate)
 
     def curve(longest: GrowthScenario, grid: np.ndarray):
@@ -105,10 +106,7 @@ def _npv_argmax(
 
         return times, np.expm1(gain) / factor, rounding, threshold
 
-    return _first_order_argmax(
-        scenario, rotation_grid, curve,
-        lambda rotation: npv(rotation, discount_rate, intervals=intervals),
-    )
+    return _first_order_argmax(scenario, rotation_grid, curve)
 
 
 def leveraged_npv(

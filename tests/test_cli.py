@@ -222,6 +222,28 @@ class TestSweep:
             "cumulative return to t=1.8 is beyond float range"
         ]
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["sweep", "--metrics", "rroe", "--u", "1e308", "--L", "10", "--tau-steps", "3"],
+             "at tau=26.6667: return on equity is beyond float range"),
+            (["optimize", "--objective", "rroe", "--u", "1e308", "--L", "10"],
+             "return on equity is beyond float range"),
+            (["sweep", "--metrics", "omega", "--u", "1e308", "--L", "-0.5", "--tau-steps", "3"],
+             "at tau=26.6667: growth factor exp(inf) is beyond float range"),
+        ],
+        ids=["sweep-rroe", "optimize-rroe", "sweep-omega"],
+    )
+    def test_market_rate_overflow_is_one_error_line(self, tmp_path, capsys, argv, message):
+        # Finite flags whose equity return or growth factor is not finite.
+        doc = tmp_path / "cycle80.json"
+        doc.write_text(json.dumps({"K0": 1, "tau": 80, "path": {
+            "kind": "sin_squared", "mean_rate": 0.05, "shape": 0.3, "full_cycle": 80}}))
+        assert main([argv[0], "--scenario", str(doc), *argv[1:]]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [f"capreturn {argv[0]}: error: {message}"]
+
     @pytest.mark.parametrize("flag", ["--d", "--u", "--L", "--tau-min", "--tau-max"])
     @pytest.mark.parametrize("value", ["nan", "inf", "abc"])
     def test_non_finite_flag_rejected(self, hump_file, capsys, flag, value):

@@ -344,3 +344,11 @@ def test_profit_rate_closed_form_consistency(k0, tau, mean, shape):
     span = midpoint_integral(path.evaluate, 0.0, tau, n=100_000)
     closed = k0 * (math.exp(span) - 1.0) / tau
     assert expected_profit_rate(s) == pytest.approx(closed, rel=1e-8, abs=1e-12)
+
+
+@pytest.mark.parametrize("x", [710.0, 1e308, math.inf])
+def test_growth_factor_beyond_float_range_is_a_typed_error(x):
+    # math.exp raises OverflowError on a finite overflow, but returns an
+    # infinite argument's infinity as it is.
+    with pytest.raises(DegenerateCapitalError, match="beyond float range"):
+        growth_module._exp(x)

@@ -81,7 +81,7 @@ class TestIrrSearch:
 
     def test_matches_the_first_order_condition(self, name):
         s = SEARCH_SCENARIOS[name]
-        tau, _ = _irr_argmax(s, self.grid(s), 4096)
+        tau = _irr_argmax(s, self.grid(s), 4096)
 
         def rate_gap(t):
             return s.path.evaluate(t) - growth_cycle_irr(with_rotation(s, t), intervals=65536)
@@ -96,17 +96,17 @@ class TestIrrSearch:
             return growth_cycle_irr(rotation, **kwargs)
 
         monkeypatch.setattr(irr_module, "growth_cycle_irr", counted)
-        tau, _ = _irr_argmax(SEARCH_SCENARIOS[name], self.grid(SEARCH_SCENARIOS[name]), 4096)
-        assert calls == [tau]
+        _irr_argmax(SEARCH_SCENARIOS[name], self.grid(SEARCH_SCENARIOS[name]), 4096)
+        # The search returns tau* alone: not even the optimum is valued.
+        assert calls == []
 
     def test_not_below_golden_section(self, name):
         s = SEARCH_SCENARIOS[name]
-        tau, value = _irr_argmax(s, self.grid(s), 4096)
+        tau = _irr_argmax(s, self.grid(s), 4096)
         _, golden = refine_argmax(
             lambda t: growth_cycle_irr(with_rotation(s, t)), self.grid(s)
         )
-        assert value == growth_cycle_irr(with_rotation(s, tau))
-        assert value >= golden * (1.0 - 1e-12)
+        assert growth_cycle_irr(with_rotation(s, tau)) >= golden * (1.0 - 1e-12)
 
 
 class TestScheduleValidation:

@@ -27,6 +27,8 @@ from capreturn import (
     rroe_argmax,
     with_rotation,
 )
+import capreturn
+from capreturn import growth as growth_module
 from capreturn import leverage as leverage_module
 from oracles import bisect_root, refine_argmax
 
@@ -61,6 +63,12 @@ class TestRroe:
     def test_nan_leverage_rejected(self):
         with pytest.raises(InvalidLeverageError, match="cannot be below -1"):
             rroe(0.05, math.nan, 0.03)
+
+    @pytest.mark.parametrize("u", [1e308, -1e308])
+    def test_result_beyond_float_range_is_a_typed_error(self, u):
+        # 0.07 + 10 * (0.07 - u) overflows to an infinity of either sign.
+        with pytest.raises(DegenerateCapitalError, match="return on equity is beyond float range"):
+            rroe(0.07, 10.0, u)
 
 
 @settings(max_examples=50)
@@ -145,6 +153,20 @@ class TestBreakEvenRate:
         s = GrowthScenario(1.0, 10.0, ConstantPath(0.05))  # a payoff of 1e-6, as above
         assert leveraged_discount_rate(s, 1.0, 0.11931466805598202) == -1.3315510557824495
 
+    def test_market_rate_beyond_float_range_is_a_typed_error(self):
+        # -tau * (avg - u) is infinite, and so is its growth factor.
+        s = GrowthScenario(1.0, 80.0, SinSquaredPath(0.05, 0.3, 80.0))
+        with pytest.raises(DegenerateCapitalError, match=r"exp\(inf\) is beyond float range"):
+            leveraged_discount_rate(s, -0.5, 1e308)
+
+    def test_residual_that_is_not_a_number_fails_the_check(self, monkeypatch):
+        # The fourth growth factor, exp(-rate * tau), made NaN.
+        nan_at = iter([False, False, False, True])
+        real = leverage_module._exp
+        monkeypatch.setattr(leverage_module, "_exp", lambda x: math.nan if next(nan_at) else real(x))
+        with pytest.raises(WipedOutEquityError, match="residual nan"):
+            leveraged_discount_rate(GrowthScenario(1.0, 10.0, ConstantPath(0.05)), 1.0, 0.03)
+
 
 class TestRroeArgmax:
     def test_market_rate_does_not_move_the_optimum(self):
@@ -201,6 +223,16 @@ class TestRroeArgmax:
         with pytest.raises(InvalidLeverageError, match="must be finite"):
             rroe_argmax(hump_scenario(), math.inf, 0.03, [10.0, 20.0])
 
+    def test_optimum_whose_equity_return_overflows(self):
+        # The optimum does not depend on the market rate; its equity return
+        # at u = 1e308 and L = 10 is beyond float range.
+        s = GrowthScenario(1.0, 80.0, SinSquaredPath(0.05, 0.3, 80.0))
+        grid = np.linspace(80.0 / 200, 80.0, 200)
+        tau = rroe_argmax(s, 10.0, 1e308, grid)
+        assert tau == rroe_argmax(s, 10.0, 0.02, grid)
+        with pytest.raises(DegenerateCapitalError, match="return on equity"):
+            rroe(rroc(with_rotation(s, tau)), 10.0, 1e308)
+
     @pytest.mark.parametrize("leverage", [-0.5, 0.0, 1.0, 5.0])
     def test_matches_a_search_over_the_equity_return(self, leverage):
         s = hump_scenario()
@@ -215,17 +247,18 @@ class TestRroeArgmax:
 
 
 @pytest.fixture
-def rroc_calls(monkeypatch):
-    """Counts the capital-return evaluations made by rroe_argmax, with the
+def passes(monkeypatch):
+    """The rotation length of every pass made by rroe_argmax, with the
     remembered search forgotten first."""
     calls = []
+    original = leverage_module._segments
 
-    def counted(scenario, **kwargs):
-        calls.append(scenario.rotation_length)
-        return rroc(scenario, **kwargs)
+    def counted(*args):
+        calls.append(args[0].rotation_length)
+        return original(*args)
 
     leverage_module._rroc_argmax.cache_clear()
-    monkeypatch.setattr(leverage_module, "rroc", counted)
+    monkeypatch.setattr(leverage_module, "_segments", counted)
     return calls
 
 
@@ -245,17 +278,17 @@ class MutablePath(ReturnPath):
 class TestSharedSearch:
     GRID = (10.0, 30.0, 50.0, 70.0, 90.0)
 
-    def test_other_market_rates_and_leverages_reuse_the_search(self, rroc_calls):
+    def test_other_market_rates_and_leverages_reuse_the_search(self, passes):
         s = hump_scenario()
         first = rroe_argmax(s, 1.0, 0.01, self.GRID, intervals=256)
-        assert rroc_calls
-        rroc_calls.clear()
+        assert passes == [90.0]
+        passes.clear()
         # An equal scenario and grid, built afresh, hit the same search.
         again = [
             rroe_argmax(hump_scenario(), leverage, u, list(self.GRID), intervals=256)
             for leverage, u in ((1.0, 0.05), (-0.5, 0.0), (5.0, 0.2))
         ]
-        assert rroc_calls == []
+        assert passes == []
         assert again == [first] * 3
 
     @pytest.mark.parametrize(
@@ -267,23 +300,23 @@ class TestSharedSearch:
         ],
         ids=["grid", "intervals", "scenario"],
     )
-    def test_changed_inputs_search_afresh(self, rroc_calls, change):
+    def test_changed_inputs_search_afresh(self, passes, change):
         s = hump_scenario()
         rroe_argmax(s, 1.0, 0.01, self.GRID, intervals=256)
-        rroc_calls.clear()
+        passes.clear()
         s2, grid, n = change(s, self.GRID, 256)
         rroe_argmax(s2, 1.0, 0.01, grid, intervals=n)
-        assert rroc_calls
+        assert len(passes) == 1
 
-    def test_unhashable_path_is_searched_uncached(self, rroc_calls):
+    def test_unhashable_path_is_searched_uncached(self, passes):
         s = GrowthScenario(1.0, 10.0, MutablePath(0.05))
         with pytest.raises(TypeError):
             hash(s)
         results = []
         for u in (0.01, 0.02):
-            rroc_calls.clear()
+            passes.clear()
             results.append(rroe_argmax(s, 1.0, u, (2.0, 4.0, 6.0), intervals=64))
-            assert rroc_calls
+            assert passes == [6.0]
         assert results[0] == results[1]
 
 
@@ -347,19 +380,36 @@ class TestRrocSearch:
         reached = rroc(with_rotation(s, tau))
         assert reached >= rroc(with_rotation(s, golden)) * (1.0 - 1e-12)
 
-    def test_returns_the_capital_return_at_the_optimum(self):
-        s, grid = noisy_scenario(4)
-        tau, value = leverage_module._rroc_argmax(s, tuple(grid), 1024)
-        assert value == rroc(with_rotation(s, tau), intervals=1024)
+    def test_few_capital_return_passes(self, passes):
+        # The root is refined on the pass over the longest rotation, and
+        # the optimum is not valued.
+        rroe_argmax(hump_scenario(), 1.0, 0.02, TestSharedSearch.GRID)
+        assert passes == [90.0]
 
-    def test_few_capital_return_passes(self, rroc_calls):
-        # The root is refined on the pass over the longest rotation: the
-        # one single-point capital return is the value at the optimum.
-        tau = rroe_argmax(hump_scenario(), 1.0, 0.02, TestSharedSearch.GRID)
-        assert rroc_calls == [tau]
+    def test_one_pass_and_no_capital_return_on_a_path_with_events(self, monkeypatch):
+        s, grid = noisy_scenario(4)
+        calls = []
+        original = growth_module._segments
+
+        def counted(*args):
+            calls.append("_segments")
+            return original(*args)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a rotation was valued")
+
+        leverage_module._rroc_argmax.cache_clear()
+        for module in (capreturn, growth_module):
+            monkeypatch.setattr(module, "rroc", forbidden)
+            monkeypatch.setattr(module, "expected_values", forbidden)
+        monkeypatch.setattr(growth_module, "_segments", counted)
+        monkeypatch.setattr(leverage_module, "_segments", counted)
+        tau = rroe_argmax(s, 1.0, 0.02, grid, intervals=1024)
+        assert grid[0] <= tau <= grid[-1]
+        assert calls == ["_segments"]
 
     @pytest.mark.parametrize("knee", [19.5, 20.0], ids=["before", "after"])
-    def test_grid_point_on_an_event(self, rroc_calls, knee):
+    def test_grid_point_on_an_event(self, passes, knee):
         # An injection at t = 20, which is also a grid point and a knot.
         # The rate falls steeply over [knee, knee + 0.5], so the spot rate
         # meets the capital return just before the event or just after it,
@@ -369,18 +419,16 @@ class TestRrocSearch:
         s = GrowthScenario(1.0, 40.0, TabulatedPath(knots), (InvestmentEvent(20.0, 5.0),))
         assert with_rotation(s, 20.0).investments == ()
         tau = rroe_argmax(s, 1.0, 0.02, (10.0, 20.0, 30.0))
-        assert rroc_calls == [tau]
+        assert passes == [30.0]
 
         def rate_gap(t):
             return s.path.evaluate(t) - rroc(with_rotation(s, t), intervals=65536)
 
         assert tau == pytest.approx(bisect_root(rate_gap, knee, knee + 0.5), abs=1e-8)
 
-    def test_one_point_grid(self, rroc_calls):
-        s = hump_scenario()
-        tau, value = leverage_module._rroc_argmax(s, (40.0,), 256)
-        assert (tau, value) == (40.0, rroc(with_rotation(s, 40.0), intervals=256))
-        assert rroc_calls == [40.0]
+    def test_one_point_grid(self, passes):
+        assert leverage_module._rroc_argmax(hump_scenario(), (40.0,), 256) == 40.0
+        assert passes == [40.0]
 
     @pytest.mark.parametrize("grid, end", [((10.0, 30.0), 30.0), ((70.0, 90.0), 70.0)])
     def test_maximum_at_an_end_of_the_grid(self, grid, end):
@@ -402,10 +450,8 @@ class TestRrocSearch:
         for _ in range(2):
             leverage_module._rroc_argmax.cache_clear()
             found.append(leverage_module._rroc_argmax(s, (2.0, 4.0, 6.0), 64))
-        assert found[0] == found[1]
-        tau, value = found[0]
-        assert 2.0 <= tau <= 6.0
-        assert value == pytest.approx(0.05, rel=1e-14)
+        # The capital return is flat: the shortest rotation wins.
+        assert found == [2.0, 2.0]
 
     @pytest.mark.parametrize(
         "scenario",
@@ -415,11 +461,11 @@ class TestRrocSearch:
         ],
         ids=["overflow", "nonpositive"],
     )
-    def test_degenerate_capital_raised_by_the_full_pass(self, rroc_calls, scenario):
+    def test_degenerate_capital_raised_by_the_full_pass(self, passes, scenario):
         grid = np.linspace(1.0, scenario.rotation_length, 10)
         with pytest.raises(DegenerateCapitalError):
             rroe_argmax(scenario, 1.0, 0.02, grid)
-        assert rroc_calls == []
+        assert passes == [scenario.rotation_length]
 
     def test_nonpositive_rotation_rejected(self):
         with pytest.raises(ValueError, match="> 0"):

@@ -229,7 +229,7 @@ class TestNpvSearch:
 
     def test_matches_the_first_order_condition(self, name, d):
         s = SEARCH_SCENARIOS[name]
-        tau, _ = _npv_argmax(s, d, self.grid(s), 4096)
+        tau = _npv_argmax(s, d, self.grid(s), 4096)
 
         def rate_gap(t):
             # N * (1 - exp(-d*t)) = K0 * exp(R - d*t) - K0, differentiated
@@ -249,15 +249,15 @@ class TestNpvSearch:
             return growth_cycle_irr(rotation, **kwargs)
 
         monkeypatch.setattr(valuation_module, "growth_cycle_irr", counted)
-        tau, _ = _npv_argmax(SEARCH_SCENARIOS[name], d, self.grid(SEARCH_SCENARIOS[name]), 4096)
-        assert calls == [tau]
+        _npv_argmax(SEARCH_SCENARIOS[name], d, self.grid(SEARCH_SCENARIOS[name]), 4096)
+        # The search returns tau* alone: not even the optimum is valued.
+        assert calls == []
 
     def test_not_below_golden_section(self, name, d):
         s = SEARCH_SCENARIOS[name]
-        tau, value = _npv_argmax(s, d, self.grid(s), 4096)
+        tau = _npv_argmax(s, d, self.grid(s), 4096)
         _, golden = refine_argmax(lambda t: npv(with_rotation(s, t), d), self.grid(s))
-        assert value == npv(with_rotation(s, tau), d)
-        assert value >= golden - 1e-12 * abs(golden)
+        assert npv(with_rotation(s, tau), d) >= golden - 1e-12 * abs(golden)
 
 
 FAST = constant_scenario(rate=8.0, tau=100.0)  # exp(100 * 8) overflows a float
