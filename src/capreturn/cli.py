@@ -8,11 +8,12 @@ Three subcommands, all scriptable::
 
 ``sweep`` tabulates the requested metrics over a rotation-length grid as
 CSV (stdout or ``--out``), one column set per requested discount/market
-rate. Rows are plain single-point library calls, so any cell can be
-reproduced independently. ``optimize`` reports the rotation length
-maximizing one criterion and shows the competing criteria at that
-optimum. ``irr`` prints every real discounting root of a cash-flow
-schedule. Exit status is 0 only when no computation failed.
+rate. Each cell is a plain single-point library call named with its
+column, so any cell can be reproduced independently. ``optimize``
+reports the rotation length maximizing one criterion and the competing
+criteria there, every number at that optimum read off one ``rroc`` pass
+and one time average. ``irr`` prints every real discounting root of a
+cash-flow schedule. Exit status is 0 only when no computation failed.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from .scenario_io import (
     read_cash_flow_csv,
     write_table,
 )
-from .valuation import _npv_argmax, npv
+from .valuation import _npv, _npv_argmax, _require_discount, npv
 
 _METRICS = ("irr", "rroc", "npv", "rroe", "omega")
 
@@ -137,41 +138,23 @@ def _rates(values, flag: str, needed_for: str):
     return list(values)
 
 
-def _sweep_columns(args, metrics: list[str]) -> list[str]:
-    columns = ["tau", "mean_rate"]
+def _sweep_row(base, tau: float, metrics: list[str], args, intervals: int) -> list:
+    """The ``(column, cell)`` pairs of the row at ``tau``, each cell one library call."""
+    scenario, L = with_rotation(base, tau), args.L
+    row = [("tau", tau), ("mean_rate", scenario.path.time_average_rate(tau, intervals=intervals))]
     for metric in metrics:
         if metric == "irr":
-            columns.append("irr")
+            row.append(("irr", growth_cycle_irr(scenario, intervals=intervals)))
         elif metric == "rroc":
-            columns.append("rroc")
+            row.append(("rroc", rroc(scenario, intervals=intervals)))
         elif metric == "npv":
-            columns += [f"npv_d{d:g}" for d in _rates(args.d, "--d", "metric npv")]
-        elif metric == "rroe":
-            columns += [f"rroe_u{u:g}" for u in _rates(args.u, "--u", "metric rroe")]
-        elif metric == "omega":
-            columns += [f"omega_u{u:g}" for u in _rates(args.u, "--u", "metric omega")]
-    return columns
-
-
-def _sweep_row(doc: ScenarioDocument, tau: float, metrics: list[str], args) -> list:
-    intervals = doc.quadrature_intervals
-    scenario = with_rotation(doc.scenario(), tau)
-    row: list = [tau, scenario.path.time_average_rate(tau, intervals=intervals)]
-    for metric in metrics:
-        if metric == "irr":
-            row.append(growth_cycle_irr(scenario, intervals=intervals))
-        elif metric == "rroc":
-            row.append(rroc(scenario, intervals=intervals))
-        elif metric == "npv":
-            row += [npv(scenario, d, intervals=intervals) for d in args.d]
+            row += [(f"npv_d{d:g}", npv(scenario, d, intervals=intervals)) for d in args.d]
         elif metric == "rroe":
             s = rroc(scenario, intervals=intervals)
-            row += [rroe(s, args.L, u) for u in args.u]
+            row += [(f"rroe_u{u:g}", rroe(s, L, u)) for u in args.u]
         elif metric == "omega":
-            row += [
-                leveraged_discount_rate(scenario, args.L, u, intervals=intervals)
-                for u in args.u
-            ]
+            row += [(f"omega_u{u:g}", leveraged_discount_rate(scenario, L, u, intervals=intervals))
+                    for u in args.u]
     return row
 
 
@@ -190,12 +173,16 @@ def _cmd_sweep(args) -> int:
                 f"unknown metric {metric!r}; choose from {', '.join(_METRICS)}"
             )
     grid = _tau_grid(args, doc)
-    columns = _sweep_columns(args, metrics)
-
+    for metric in metrics:
+        if metric == "npv":
+            _rates(args.d, "--d", "metric npv")
+        elif metric in ("rroe", "omega"):
+            _rates(args.u, "--u", f"metric {metric}")
+    base = doc.scenario()
     rows = []
     for tau in grid:
         try:
-            rows.append(_sweep_row(doc, float(tau), metrics, args))
+            rows.append(_sweep_row(base, float(tau), metrics, args, doc.quadrature_intervals))
         except CapReturnError as exc:
             raise CapReturnError(f"at tau={tau:g}: {exc}") from exc
 
@@ -208,7 +195,8 @@ def _cmd_sweep(args) -> int:
         "u": args.u,
         "L": args.L,
     }
-    text = _provenance(doc, settings) + write_table(rows, columns)
+    columns = [column for column, _ in rows[0]]  # every row has the same columns
+    text = _provenance(doc, settings) + write_table([[c for _, c in r] for r in rows], columns)
     if args.out:
         Path(args.out).write_text(text, encoding="utf-8")
     else:
@@ -216,64 +204,61 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
-def _competing_report(doc: ScenarioDocument, tau: float, s: float | None, args) -> list[str]:
-    """The criteria at ``tau``; ``s`` is the capital return there, when the
-    objective's valuation has it already."""
-    intervals = doc.quadrature_intervals
-    scenario = with_rotation(doc.scenario(), tau)
-    if s is None:
-        s = rroc(scenario, intervals=intervals)
-    lines = [f"  rroc = {s:.9g}"]
-    if not scenario.investments:  # the IRR and present values need a cycle without events
-        lines.append(f"  irr  = {growth_cycle_irr(scenario, intervals=intervals):.9g}")
-        for d in args.d or []:
-            lines.append(f"  npv(d={d:g}) = {npv(scenario, d, intervals=intervals):.9g}")
-    for u in args.u or []:
-        lines.append(f"  rroe(L={args.L:g}, u={u:g}) = {rroe(s, args.L, u):.9g}")
-    return lines
-
-
 def _cmd_optimize(args) -> int:
-    """Each search returns tau* alone; the objective is valued there once."""
+    """Each search returns tau* alone. Every number printed at a tau*, the
+    objective's value among them, comes from one ``rroc`` pass and, for a
+    cycle without events, one time average there."""
     doc = parse_scenario(_read_text(args.scenario))
     intervals = doc.quadrature_intervals
     grid = _tau_grid(args, doc)
     base = doc.scenario()
+    L = args.L
+
+    @functools.cache
+    def at(tau: float) -> tuple[float, float | None]:
+        """rroc at ``tau`` and its time average, or None where the rotation
+        keeps an event: the IRR and present values need a cycle without one."""
+        scenario = with_rotation(base, tau)
+        s = rroc(scenario, intervals=intervals)
+        if scenario.investments:
+            return s, None
+        return s, growth_cycle_irr(scenario, intervals=intervals)
+
+    def npv_at(tau: float, d: float) -> float:
+        _require_discount(d)
+        return _npv(base.initial_capital, at(tau)[1], tau, d)
 
     def optima():
-        """(label, tau*, value, rroc at tau* or None) per objective, each
-        found as it is needed."""
+        """(label, tau*, value) per objective, each found as it is needed."""
         if args.objective == "rroc":
             # At leverage 0 the equity return is the capital return.
             tau = rroe_argmax(base, 0.0, 0.0, grid, intervals=intervals)
-            s = rroc(with_rotation(base, tau), intervals=intervals)
-            yield "objective rroc", tau, s, s
+            yield "objective rroc", tau, at(tau)[0]
         elif args.objective == "irr":
             tau = _irr_argmax(base, grid, intervals)
-            irr = growth_cycle_irr(with_rotation(base, tau), intervals=intervals)
-            yield "objective irr", tau, irr, None
+            yield "objective irr", tau, at(tau)[1]
         elif args.objective == "npv":
             for d in _rates(args.d, "--d", "objective npv"):
                 tau = _npv_argmax(base, d, grid, intervals)
-                value = npv(with_rotation(base, tau), d, intervals=intervals)
-                yield f"objective npv, d={d:g}", tau, value, None
+                yield f"objective npv, d={d:g}", tau, npv_at(tau, d)
         elif args.objective == "rroe":
-            # One optimum serves every market rate, and one capital return.
+            # One optimum serves every market rate.
             rates = _rates(args.u, "--u", "objective rroe")
-            tau = rroe_argmax(base, args.L, rates[0], grid, intervals=intervals)
-            s = rroc(with_rotation(base, tau), intervals=intervals)
+            tau = rroe_argmax(base, L, rates[0], grid, intervals=intervals)
             for u in rates:
-                yield f"objective rroe, L={args.L:g}, u={u:g}", tau, rroe(s, args.L, u), s
+                yield f"objective rroe, L={L:g}, u={u:g}", tau, rroe(at(tau)[0], L, u)
 
     # The whole report is built before any of it is printed, so a failure
     # leaves only its error line.
     report = []
-    for label, tau_star, value, s in optima():
-        report += [
-            f"{label}: tau* = {tau_star:.9g}, value = {value:.9g}",
-            "competing criteria at tau*:",
-            *_competing_report(doc, tau_star, s, args),
-        ]
+    for label, tau, value in optima():
+        s, avg = at(tau)
+        report += [f"{label}: tau* = {tau:.9g}, value = {value:.9g}",
+                   "competing criteria at tau*:", f"  rroc = {s:.9g}"]
+        if avg is not None:
+            report.append(f"  irr  = {avg:.9g}")
+            report += [f"  npv(d={d:g}) = {npv_at(tau, d):.9g}" for d in args.d or []]
+        report += [f"  rroe(L={L:g}, u={u:g}) = {rroe(s, L, u):.9g}" for u in args.u or []]
     print("\n".join(report))
     return 0
 

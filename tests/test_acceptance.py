@@ -16,6 +16,7 @@ from capreturn import (
     ConstantPath,
     EstateSpec,
     GrowthScenario,
+    InvestmentEvent,
     ReversedPath,
     ScenarioDocument,
     SinSquaredPath,
@@ -312,3 +313,35 @@ def test_criterion_11_io_round_trip_and_determinism(tmp_path):
         "documents round-trip exactly and repeated sweeps are byte-identical",
         round_trip_ok and outputs[0] == outputs[1],
     )
+
+
+def test_criterion_12_accrual_identity_with_events():
+    # Capital grows by its own accrual and by the events: the integral of
+    # K * r over the rotation is K(tau) - K0 - sum of the event amounts.
+    rng = np.random.default_rng(12)
+    worst = 0.0
+    for i in range(60):
+        k0 = float(rng.uniform(0.5, 5.0))
+        mean, shape = rng.uniform(0.01, 0.12), rng.uniform(0.0, 1.0)
+        hump_path = SinSquaredPath(float(mean), float(shape), CYCLE)
+        tau = float(rng.uniform(5.0, CYCLE))
+        if i % 3 == 0:
+            path = hump_path
+        elif i % 3 == 1:
+            path = ReversedPath(hump_path, tau)
+        else:
+            times = np.sort(rng.uniform(0.0, tau, size=int(rng.integers(2, 8))))
+            times[0], times[-1] = 0.0, tau
+            rates = rng.uniform(0.01, 0.12, size=times.size)
+            path = TabulatedPath(tuple(zip(map(float, times), map(float, rates))))
+        # Up to five events, withdrawals of at most 0.15 * K0 each: capital stays positive.
+        event_times = np.sort(rng.choice(np.arange(1, 100), size=int(rng.integers(1, 6)),
+                                         replace=False)) * tau / 100
+        amounts = rng.uniform(-0.15, 0.5, size=event_times.size) * k0
+        events = tuple(InvestmentEvent(float(t), float(a)) for t, a in zip(event_times, amounts))
+        scenario = GrowthScenario(k0, tau, path, events)
+        accrued = (capital_at(scenario, tau) - k0 - amounts.sum()) / tau
+        profit = expected_profit_rate(scenario)
+        worst = max(worst, abs(profit - accrued) / abs(accrued))
+    report(12, f"accrual identity: profit rate = (K(tau) - K0 - sum of events) / tau on "
+               f"60 event schedules (worst rel gap {worst:.2e})", worst < 1e-9)

@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -17,8 +18,11 @@ from capreturn import (
     with_rotation,
 )
 from capreturn import cli
+from capreturn import growth as growth_module
+from capreturn import leverage as leverage_module
 from capreturn.cli import main
 
+DATA = Path(__file__).parent / "data"
 MEAN, SHAPE, CYCLE = 0.05, 0.5, 100.0
 
 HUMP_DOC = {
@@ -440,6 +444,63 @@ class TestOptimizeSearch:
         err = captured.err.splitlines()
         assert len(err) == 1
         assert "error: " in err[0] and "float range" in err[0]
+
+
+class TestOptimizeReport:
+    """Every number printed at a tau* comes from one ``rroc`` pass and, for
+    a cycle without events, one time average there."""
+
+    RATES = ["--d", "0.03", "--d", "0.06", "--u", "0.01", "--u", "0.02"]
+
+    @pytest.mark.parametrize(
+        "objective, searches", [("npv", 0), ("irr", 0), ("rroc", 1), ("rroe", 1)]
+    )
+    def test_one_rroc_pass_and_one_time_average_per_optimum(self, capsys, monkeypatch,
+                                                            objective, searches):
+        averages, passes = [], []
+        original_return = ReturnPath.cumulative_return
+        original_segments = growth_module._segments
+
+        def counted_return(path, t, **kwargs):
+            averages.append(t)
+            return original_return(path, t, **kwargs)
+
+        def counted_segments(scenario, cuts, intervals):
+            passes.append(scenario.rotation_length)
+            return original_segments(scenario, cuts, intervals)
+
+        leverage_module._rroc_argmax.cache_clear()  # the rroc and rroe search pass counts
+        monkeypatch.setattr(ReturnPath, "cumulative_return", counted_return)
+        monkeypatch.setattr(growth_module, "_segments", counted_segments)
+        monkeypatch.setattr(leverage_module, "_segments", counted_segments)
+        argv = ["optimize", "--scenario", str(DATA / "hump.json"), "--objective", objective]
+        assert main(argv + self.RATES) == 0
+        optima = sorted(set(stars(capsys.readouterr().out)))
+        # A time average per printed line would make 8, 4, 3 and 6.
+        assert len(averages) == {"npv": 2, "irr": 1, "rroc": 1, "rroe": 1}[objective]
+        assert sorted(averages) == pytest.approx(optima, rel=1e-8)
+        assert sorted(passes) == pytest.approx(optima + [CYCLE] * searches, rel=1e-8)
+
+    def test_lines_are_not_looked_up_by_label(self, capsys):
+        # Both rates print as d=0.03; each line keeps its own value.
+        argv = ["optimize", "--scenario", str(DATA / "hump.json"), "--objective", "rroc",
+                "--d", "0.03", "--d", "0.0300000001"]
+        assert main(argv) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line for line in lines if line.startswith("  npv")] == [
+            "  npv(d=0.03) = 4.23969796",
+            "  npv(d=0.03) = 4.23969792",
+        ]
+
+    def test_nonpositive_discount_rate_in_the_report(self, capsys):
+        argv = ["optimize", "--scenario", str(DATA / "hump.json"), "--objective", "rroc",
+                "--d", "0"]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "capreturn optimize: error: discount rate must be > 0"
+        ]
 
 
 class TestUnreadableInput:
