@@ -47,7 +47,8 @@ class IndeterminateRatioError(CapReturnError, ArithmeticError):
 
 
 class InvalidLeverageError(CapReturnError, ValueError):
-    """Leverage ratio below -1 (more than all capital lent out)."""
+    """Leverage ratio below -1 (more than all capital lent out), NaN or
+    infinite, or a market rate that is NaN or infinite."""
 
 
 class WipedOutEquityError(CapReturnError, ArithmeticError):

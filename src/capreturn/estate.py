@@ -7,6 +7,8 @@ return on capital weights each site's spot rate by the capital it
 carries — which generally differs from the plain area-average of spot
 rates across the estate.
 
+An age density is a knot table on the rotation, linear between knots
+and zero outside them: uniform ages are ``(0, 1/tau), (tau, 1/tau)``.
 :func:`estate_rroc`, :func:`area_average_rate` and
 :func:`estate_capitalization` read three integrals of one pass over the
 rotation. The latest estate's pass is remembered, so the three called
@@ -28,31 +30,29 @@ from .quadrature import DEFAULT_INTERVALS, _definite_integral
 
 
 class AgeDensity:
-    """Probability density of site ages over the rotation."""
+    """Probability density of site ages over the rotation: the knot table
+    of ``_table``, linear between its knots and zero outside them."""
+
+    def _table(self, rotation_length: float):
+        """``(ages, weights)``: the strictly increasing knot ages and the
+        normalized density at each, for a rotation of this length."""
+        raise NotImplementedError
 
     def support(self, rotation_length: float) -> tuple[float, float]:
-        raise NotImplementedError
-
-    def knot_times(self, rotation_length: float) -> tuple[float, ...]:
-        """Ages where the density has kinks; integration splits here."""
-        raise NotImplementedError
+        """The first and the last knot age."""
+        ages, _ = self._table(rotation_length)
+        return (float(ages[0]), float(ages[-1]))
 
     def density(self, ages: np.ndarray, rotation_length: float) -> np.ndarray:
-        raise NotImplementedError
+        return np.interp(ages, *self._table(rotation_length), left=0.0, right=0.0)
 
 
 @dataclass(frozen=True)
 class UniformAgeDensity(AgeDensity):
-    """Every age in the rotation equally likely."""
+    """Every age in the rotation equally likely: the table (0, 1/tau), (tau, 1/tau)."""
 
-    def support(self, rotation_length: float) -> tuple[float, float]:
-        return (0.0, rotation_length)
-
-    def knot_times(self, rotation_length: float) -> tuple[float, ...]:
-        return ()
-
-    def density(self, ages: np.ndarray, rotation_length: float) -> np.ndarray:
-        return np.full_like(ages, 1.0 / rotation_length, dtype=float)
+    def _table(self, rotation_length: float):
+        return (0.0, rotation_length), (1.0 / rotation_length,) * 2
 
 
 @dataclass(frozen=True, eq=False)
@@ -80,19 +80,12 @@ class TabulatedAgeDensity(_KnotTable, AgeDensity):
             raise ValueError("density total mass must be finite")
         if mass <= 0.0:
             raise ValueError("density must have positive total mass")
-        # Not a field, so equality and the hash stay those of the knots.
+        # Not fields, so equality and the hash stay those of the knots.
         object.__setattr__(self, "renormalization_factor", 1.0 / mass)
+        object.__setattr__(self, "_weights", weights * self.renormalization_factor)
 
-    def support(self, rotation_length: float) -> tuple[float, float]:
-        return (self.knots[0][0], self.knots[-1][0])
-
-    def knot_times(self, rotation_length: float) -> tuple[float, ...]:
-        return tuple(a for a, _ in self.knots)
-
-    def density(self, ages: np.ndarray, rotation_length: float) -> np.ndarray:
-        knot_ages, weights = self._knot_arrays
-        scaled = weights * self.renormalization_factor
-        return np.interp(ages, knot_ages, scaled, left=0.0, right=0.0)
+    def _table(self, rotation_length: float):
+        return self._knot_arrays[0], self._weights
 
 
 @dataclass(frozen=True)
@@ -104,8 +97,7 @@ class EstateSpec:
 
     def __post_init__(self):
         tau = self.site_scenario.rotation_length
-        support = self.ages.support(tau)
-        _require_within("age density support", support, "rotation", (0.0, tau))
+        _require_within("age density support", self.ages.support(tau), "rotation", (0.0, tau))
 
 
 @remember_latest
@@ -117,13 +109,12 @@ def _weighted_integrals(
     remembered, so the three public functions share one pass."""
     scenario = estate.site_scenario
     tau = scenario.rotation_length
-    lo, hi = estate.ages.support(tau)
-    cuts = sorted({lo, hi, *estate.ages.knot_times(tau)})  # each cut once
-    ts, steps, rates, capital = _segments(scenario, cuts, intervals)
+    ages, _ = estate.ages._table(tau)  # the pass cuts at every knot
+    ts, steps, rates, capital = _segments(scenario, ages, intervals)
     weights = estate.ages.density(ts, tau)
     # The density is zero outside its support; panels there get no weight
     # even where the density jumps at a support end.
-    inside = (ts[:-2:2] >= lo) & (ts[2::2] <= hi)
+    inside = (ts[:-2:2] >= ages[0]) & (ts[2::2] <= ages[-1])
     if not inside.all():
         steps = steps * inside
     with np.errstate(over="ignore", invalid="ignore"):  # judged below

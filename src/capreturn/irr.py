@@ -138,7 +138,7 @@ def _irr_argmax(scenario: GrowthScenario, rotation_grid, intervals: int) -> floa
     spot rate falls to it. Returns the rotation length alone."""
 
     def curve(longest: GrowthScenario, grid: np.ndarray):
-        times, returns = _cycle_returns(longest, grid, intervals)
+        times, returns = _cycle_returns(longest, tuple(grid), intervals)
         avg = returns / times
 
         def threshold(i, t, step, panel):

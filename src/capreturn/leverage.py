@@ -22,13 +22,16 @@ from .optimize import _first_order_argmax, _rounding
 from .quadrature import DEFAULT_INTERVALS, _definite_integral, cumulative_simpson_nodes
 
 
-def _require_leverage(leverage: float) -> None:
+def _require_leverage(leverage: float, market_rate: float) -> None:
     """Raise InvalidLeverageError for a leverage ratio below -1 (no more
-    than all of the equity can be lent out), NaN or infinite."""
+    than all of the equity can be lent out), NaN or infinite, then for a
+    market rate that is NaN or infinite."""
     if not leverage >= -1.0:
         raise InvalidLeverageError("leverage ratio cannot be below -1")
     if leverage == math.inf:
         raise InvalidLeverageError("leverage ratio must be finite")
+    if not math.isfinite(market_rate):
+        raise InvalidLeverageError("market rate must be finite")
 
 
 def rroe(return_on_capital: float, leverage: float, market_rate: float) -> float:
@@ -41,7 +44,7 @@ def rroe(return_on_capital: float, leverage: float, market_rate: float) -> float
     Raises:
         DegenerateCapitalError: the result is not finite.
     """
-    _require_leverage(leverage)
+    _require_leverage(leverage, market_rate)
     if leverage == -1.0:
         value = market_rate
     else:
@@ -72,7 +75,7 @@ def leveraged_discount_rate(
             the rate found fails its zero-value check to 1e-9.
         DegenerateCapitalError: a growth factor is beyond float range.
     """
-    _require_leverage(leverage)
+    _require_leverage(leverage, market_rate)
     tau = scenario.rotation_length
     avg = growth_cycle_irr(scenario, intervals=intervals)
     inner = 1.0 + leverage * (1.0 - _exp(-tau * (avg - market_rate)))
@@ -158,11 +161,12 @@ def rroe_argmax(
     Raises:
         InvalidLeverageError: leverage <= -1, NaN or infinite (at
             exactly -1 the equity return is the market rate at every
-            rotation length, so the maximizer is undefined).
+            rotation length, so the maximizer is undefined), or a market
+            rate NaN or infinite.
         DomainError: empty grid, or a grid point not finite and > 0.
         DegenerateCapitalError: from the pass over the longest rotation.
     """
-    _require_leverage(leverage)
+    _require_leverage(leverage, market_rate)
     if leverage == -1.0:
         raise InvalidLeverageError(
             "equity-return maximizer needs leverage strictly above -1"

@@ -95,7 +95,7 @@ def _npv_argmax(
     _require_discount(discount_rate)
 
     def curve(longest: GrowthScenario, grid: np.ndarray):
-        times, returns = _cycle_returns(longest, grid, intervals)
+        times, returns = _cycle_returns(longest, tuple(grid), intervals)
         avg = returns / times
         gain, factor = times * (avg - discount_rate), -np.expm1(-discount_rate * times)
         rounding = _rounding(times * avg) * np.exp(gain) / factor
@@ -129,7 +129,7 @@ def leveraged_npv(
             float range.
     """
     _require_discount(discount_rate)
-    _require_leverage(leverage)
+    _require_leverage(leverage, market_rate)
     avg = growth_cycle_irr(scenario, intervals=intervals)
     return _leveraged_npv(
         scenario.initial_capital, avg, scenario.rotation_length,
@@ -161,7 +161,7 @@ def leverage_npv_ratio(
             float range.
     """
     _require_discount(discount_rate)
-    _require_leverage(leverage)
+    _require_leverage(leverage, market_rate)
     tau = scenario.rotation_length
     avg = growth_cycle_irr(scenario, intervals=intervals)
     k0 = scenario.initial_capital

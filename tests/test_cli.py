@@ -481,6 +481,24 @@ class TestOptimizeReport:
         assert sorted(averages) == pytest.approx(optima, rel=1e-8)
         assert sorted(passes) == pytest.approx(optima + [CYCLE] * searches, rel=1e-8)
 
+    def test_discount_rates_share_one_search_pass(self, capsys, monkeypatch):
+        nodes = []
+        original = growth_module.cumulative_simpson_nodes
+
+        def counted(values, steps):
+            nodes.append(values.size)
+            return original(values, steps)
+
+        growth_module._cycle_returns.cache_clear()
+        monkeypatch.setattr(growth_module, "cumulative_simpson_nodes", counted)
+        argv = ["optimize", "--scenario", str(DATA / "hump.json"), "--objective", "npv",
+                "--d", "0.03", "--d", "0.06", "--d", "0.09"]
+        assert main(argv) == 0
+        assert len(set(stars(capsys.readouterr().out))) == 3
+        # One pass over the longest rotation, cut at the grid, is searched
+        # at every rate; then one rroc pass values each optimum.
+        assert nodes == [4401, 4097, 4097, 4097]
+
     def test_lines_are_not_looked_up_by_label(self, capsys):
         # Both rates print as d=0.03; each line keeps its own value.
         argv = ["optimize", "--scenario", str(DATA / "hump.json"), "--objective", "rroc",

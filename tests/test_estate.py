@@ -226,6 +226,13 @@ def test_capital_beyond_float_range_is_degenerate(tau):
         estate_rroc(estate)
 
 
+def test_capital_that_underflows_to_zero_is_degenerate():
+    scenario = GrowthScenario(5e-324, 50.0, ConstantPath(-1.0))
+    estate = EstateSpec(scenario, TabulatedAgeDensity(((40.0, 1.0), (50.0, 1.0))))
+    with pytest.raises(DegenerateCapitalError, match="estate capitalization is nonpositive"):
+        estate_rroc(estate)
+
+
 def three_values(estate):
     return (estate_rroc(estate), area_average_rate(estate), estate_capitalization(estate))
 
@@ -265,14 +272,40 @@ class MutableDensity(AgeDensity):
 
     oldest: float
 
-    def support(self, rotation_length):
-        return (0.0, self.oldest)
+    def _table(self, rotation_length):
+        return (0.0, self.oldest), (1.0 / self.oldest, 1.0 / self.oldest)
 
-    def knot_times(self, rotation_length):
-        return ()
 
-    def density(self, ages, rotation_length):
-        return np.where(ages <= self.oldest, 1.0 / self.oldest, 0.0)
+@dataclasses.dataclass(frozen=True)
+class TableOnly(AgeDensity):
+    """A density that defines its knot table and nothing else."""
+
+    ages: tuple
+    weights: tuple
+
+    def _table(self, rotation_length):
+        return self.ages, self.weights
+
+
+class TestKnotTable:
+    """An age density is its knot table: support and density are read off it."""
+
+    def test_a_table_alone_makes_an_estate(self):
+        # A triangle of unit mass in binary fractions, so the tabulated
+        # density's renormalization factor is exactly 1.
+        ages, weights = (20.0, 52.0, 84.0), (0.0, 1.0 / 32.0, 0.0)
+        tabulated = TabulatedAgeDensity(tuple(zip(ages, weights)))
+        assert tabulated.renormalization_factor == 1.0
+        table_only = TableOnly(ages, weights)
+        assert table_only.support(CYCLE) == tabulated.support(CYCLE) == (20.0, 84.0)
+        assert three_values(hump_estate(table_only)) == three_values(hump_estate(tabulated))
+
+    def test_uniform_table(self):
+        uniform = UniformAgeDensity()
+        assert uniform.support(10.0) == (0.0, 10.0)
+        inside = np.linspace(0.0, 10.0, 101)
+        assert np.all(uniform.density(inside, 10.0) == 0.1)
+        assert np.all(uniform.density(np.array([-1.0, 11.0]), 10.0) == 0.0)
 
 
 WEIGHTS = ((10.0, 0.2), (40.0, 1.0), (90.0, 0.1))

@@ -284,6 +284,12 @@ class TestExpectedCapitalization:
         oracle = midpoint_integral(capital, 0.0, 80.0, n=2000) / 80.0
         assert expected_capitalization(s) == pytest.approx(oracle, rel=1e-6)
 
+    def test_capital_that_underflows_to_zero_is_degenerate(self):
+        # The smallest denormal shrinks to zero within one year.
+        s = GrowthScenario(5e-324, 50.0, ConstantPath(-1.0))
+        with pytest.raises(DegenerateCapitalError, match="expected capitalization is nonpositive"):
+            expected_values(s)
+
 
 class TestRroc:
     @pytest.mark.parametrize("rate", [-0.02, 0.01, 0.05, 0.2])

@@ -85,6 +85,29 @@ def test_infinite_leverage_rejected_by_the_closed_forms():
         leveraged_discount_rate(s, math.inf, 0.02)
 
 
+# Every function that takes a market rate, at leverage 1.
+MARKET_RATE_USES = {
+    "rroe": lambda s, u: rroe(0.05, 1.0, u),
+    "leveraged_discount_rate": lambda s, u: leveraged_discount_rate(s, 1.0, u),
+    "leveraged_npv": lambda s, u: leveraged_npv(s, 0.03, u, 1.0),
+    "leverage_npv_ratio": lambda s, u: capreturn.leverage_npv_ratio(s, 0.03, u, 1.0),
+    "rroe_argmax": lambda s, u: rroe_argmax(s, 1.0, u, [10.0, 20.0, 30.0]),
+}
+
+
+@pytest.mark.parametrize("u", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("use", MARKET_RATE_USES.values(), ids=MARKET_RATE_USES.keys())
+def test_non_finite_market_rate_rejected(use, u):
+    s = GrowthScenario(1.0, 50.0, SinSquaredPath(0.05, 0.5, 100.0))
+    with pytest.raises(InvalidLeverageError, match="^market rate must be finite$"):
+        use(s, u)
+
+
+def test_leverage_is_checked_before_the_market_rate():
+    with pytest.raises(InvalidLeverageError, match="cannot be below -1"):
+        rroe(0.05, math.nan, math.nan)
+
+
 class TestBreakEvenRate:
     def test_unleveraged_is_the_average_rate(self):
         s = GrowthScenario(1.0, 10.0, ConstantPath(0.05))
