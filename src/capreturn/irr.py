@@ -12,7 +12,8 @@ simultaneous iteration (:func:`general_irr`). Most of those roots carry
 no financial meaning, but all of them exist and all are reported. Each
 step of the iteration evaluates the polynomial in blocks of ``_BLOCK``
 coefficients: one matrix product per step, then Horner's rule across
-the blocks.
+the blocks. It forms the pairwise root differences ``_BLOCK`` estimates
+at a time, so its memory grows with the degree, not with its square.
 """
 
 from __future__ import annotations
@@ -182,20 +183,24 @@ def _evaluate(rows: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     One ``width x len(x)`` matrix holds the powers ``x**0 .. x**(width-1)``;
     one matrix product sums every row of coefficients against it, and
-    Horner's rule in ``x**width`` combines the row sums.
+    Horner's rule in ``x**width`` combines the row sums. A single row is
+    the whole sum already.
     """
     width = rows.shape[1]
     powers = np.empty((width, len(x)), dtype=complex)
     powers[0] = 1.0
     powers[1:] = x
-    np.cumprod(powers, axis=0, out=powers)
+    np.multiply.accumulate(powers, axis=0, out=powers)
     # Real rows times the real and imaginary parts side by side: a real
     # matrix product, half the work of a complex one.
-    values = _horner((rows @ powers.view(float)).view(complex), powers[-1] * x)
+    row_sums = (rows @ powers.view(float)).view(complex)
+    magnitude_sums = np.abs(rows) @ np.abs(powers)
+    if len(rows) == 1:
+        return row_sums[0], magnitude_sums[0]
+    values = _horner(row_sums, powers[-1] * x)
     # The scale sums positive terms, whose rounding does not cancel, so its
     # step is one rounded power rather than the running product.
-    magnitudes = np.abs(powers)
-    scale = _horner(np.abs(rows) @ magnitudes, np.abs(x) ** width)
+    scale = _horner(magnitude_sums, np.abs(x) ** width)
     return values, scale
 
 
@@ -214,12 +219,16 @@ def _durand_kerner(coeffs: np.ndarray) -> np.ndarray:
     seeded random phase and updates every root estimate at once; stops when
     estimates stop moving or the polynomial values are at rounding level
     relative to their own magnitude scale. A NaN estimate makes every
-    estimate NaN on the next step, so the iteration gives up at once.
+    estimate NaN on the next step, so the iteration gives up at once; an
+    estimate turns NaN only through a NaN or infinite step, so only such a
+    step is followed by a scan for one.
 
     Each step evaluates the polynomial by :func:`_evaluate` on the
-    coefficients split once into rows of at most ``_BLOCK``. A solve of
-    degree ``n`` allocates the ``n x n`` matrix of root differences and
-    a ``_BLOCK x n`` matrix of powers.
+    coefficients split once into rows of at most ``_BLOCK``, and builds
+    the products of root differences ``_BLOCK`` estimates at a time, each
+    product reduced left to right along its row. A solve of degree ``n``
+    allocates one ``_BLOCK x n`` block of root differences, reused on
+    every step, beside a ``_BLOCK x n`` matrix of powers.
     """
     rows = _coefficient_rows(coeffs) * (1.0 / coeffs[-1])  # monic
     degree = len(coeffs) - 1
@@ -229,18 +238,24 @@ def _durand_kerner(coeffs: np.ndarray) -> np.ndarray:
     angles = 2.0 * np.pi * (np.arange(degree) + rng.uniform(0.1, 0.9)) / degree
     roots = radius * np.exp(1j * angles)
 
+    block = np.empty((min(_BLOCK, degree), degree), dtype=complex)
+    products = np.empty(degree, dtype=complex)
     for _ in range(_MAX_ITERATIONS):
         values, scale = _evaluate(rows, roots)
-        if np.all(np.abs(values) <= 1e-14 * scale):
+        if (np.abs(values) <= 1e-14 * scale).all():
             return roots
-        diffs = roots[:, None] - roots[None, :]
-        np.fill_diagonal(diffs, 1.0)
-        steps = values / np.prod(diffs, axis=1)
+        for lo in range(0, degree, _BLOCK):
+            part = block[: degree - lo]
+            np.subtract(roots[lo : lo + _BLOCK, None], roots, out=part)
+            part.reshape(-1)[lo :: degree + 1] = 1.0  # diagonal: an estimate less itself
+            np.multiply.reduce(part, axis=1, out=products[lo : lo + _BLOCK])
+        steps = values / products
         roots = roots - steps
-        if np.isnan(roots).any():
-            break
-        if float(np.max(np.abs(steps))) < _MOVEMENT_TOLERANCE:
+        movement = float(np.abs(steps).max())
+        if movement < _MOVEMENT_TOLERANCE:
             return roots
+        if not math.isfinite(movement) and np.isnan(roots).any():
+            break
     worst = float(np.max(np.abs(_evaluate(rows, roots)[0])))
     raise RootConvergenceError("root iteration did not converge", worst)
 

@@ -42,6 +42,8 @@ def rroe(return_on_capital: float, leverage: float, market_rate: float) -> float
     is lent and the result is the market rate itself.
 
     Raises:
+        InvalidLeverageError: leverage below -1, NaN or infinite, or a
+            market rate NaN or infinite.
         DegenerateCapitalError: the result is not finite.
     """
     _require_leverage(leverage, market_rate)
@@ -69,6 +71,8 @@ def leveraged_discount_rate(
     process — it moves with the market rate.
 
     Raises:
+        InvalidLeverageError: leverage below -1, NaN or infinite, or a
+            market rate NaN or infinite.
         WipedOutEquityError: the terminal equity payoff is nonpositive
             (loan interest exceeds what the rotation produced), so no
             break-even rate exists; or it is within rounding of zero, so

@@ -125,6 +125,10 @@ def leveraged_npv(
     capital sits in interest-bearing instruments, which create nothing).
 
     Raises:
+        InvalidDiscountError: discount rate is not strictly positive
+            (the perpetuity factor diverges at zero).
+        InvalidLeverageError: leverage below -1, NaN or infinite, or a
+            market rate NaN or infinite.
         DegenerateCapitalError: a growth factor or the value is beyond
             float range.
     """
@@ -154,6 +158,10 @@ def leverage_npv_ratio(
     regardless of their level.
 
     Raises:
+        InvalidDiscountError: discount rate is not strictly positive
+            (the perpetuity factor diverges at zero).
+        InvalidLeverageError: leverage below -1, NaN or infinite, or a
+            market rate NaN or infinite.
         IndeterminateRatioError: the unleveraged value is zero, or so
             near zero (average rate near the discount rate) that the two
             forms disagree: the ratio is singular there.

@@ -1,6 +1,7 @@
 """Cash-flow rate-of-return solving: closed-form cycle and polynomial routes."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -336,3 +337,103 @@ def test_scaling_amounts_leaves_roots_unchanged(scale):
     assert len(a.all_real_roots) == len(b.all_real_roots)
     for x, y in zip(a.all_real_roots, b.all_real_roots):
         assert x == pytest.approx(y, abs=1e-10)
+
+
+def _reference_roots(coeffs):
+    """The root finder's step as first written, frozen: the full ``n x n``
+    matrix of root differences on every step, Horner's rule across the
+    row sums even for a one-row polynomial, and a NaN scan after every
+    update. Any rewrite of the step must reproduce it bit for bit."""
+    width = min(64, len(coeffs))
+    rows = np.zeros((-(-len(coeffs) // width), width))
+    rows.flat[: len(coeffs)] = coeffs
+    rows = rows * (1.0 / coeffs[-1])
+    degree = len(coeffs) - 1
+
+    def horner(row_sums, step):
+        total = row_sums[-1]
+        for row in row_sums[-2::-1]:
+            total = total * step + row
+        return total
+
+    def evaluate(x):
+        powers = np.empty((width, len(x)), dtype=complex)
+        powers[0] = 1.0
+        powers[1:] = x
+        np.cumprod(powers, axis=0, out=powers)
+        values = horner((rows @ powers.view(float)).view(complex), powers[-1] * x)
+        scale = horner(np.abs(rows) @ np.abs(powers), np.abs(x) ** width)
+        return values, scale
+
+    rng = np.random.default_rng(0)
+    radius = 1.0 + float(np.max(np.abs(rows.ravel()[:degree])))
+    angles = 2.0 * np.pi * (np.arange(degree) + rng.uniform(0.1, 0.9)) / degree
+    roots = radius * np.exp(1j * angles)
+    for _ in range(500):
+        values, scale = evaluate(roots)
+        if np.all(np.abs(values) <= 1e-14 * scale):
+            return roots
+        diffs = roots[:, None] - roots[None, :]
+        np.fill_diagonal(diffs, 1.0)
+        steps = values / np.prod(diffs, axis=1)
+        roots = roots - steps
+        if np.isnan(roots).any():
+            break
+        if float(np.max(np.abs(steps))) < 1e-12:
+            return roots
+    worst = float(np.max(np.abs(evaluate(roots)[0])))
+    raise RootConvergenceError("root iteration did not converge", worst)
+
+
+def _schedule_coeffs(*pairs):
+    """Ascending coefficients of an integer-time schedule's polynomial."""
+    coeffs = np.zeros(int(pairs[-1][0]) + 1)
+    for t, a in pairs:
+        coeffs[int(t)] += a
+    return coeffs
+
+
+PINNED_POLYNOMIALS = {
+    **{f"normal-{d}": np.random.default_rng(d).normal(size=d + 1)
+       for d in (1, 2, 3, 5, 8, 13, 21, 34, 40, 55, 63, 64, 65, 89, 100, 128, 129, 150, 200)},
+    **{f"uniform-{d}": np.random.default_rng(1000 + d).uniform(-1.0, 1.0, d + 1)
+       for d in (7, 31, 63, 64, 65, 127, 128, 129)},
+    # Degree 72 fails at the fixed start seed though it is far below overflow.
+    "found-72": _schedule_coeffs((0, -3.0), (1, -0.5), (18, 0.2), (72, 3.0)),
+    # The benchmark's known faults, which overflow the denominators.
+    **{f"fault-{n}": _schedule_coeffs((0, -1.0), (1, 0.1), (n, 1.5)) for n in (63, 64, 65, 128)},
+}
+
+
+@pytest.mark.parametrize("name", PINNED_POLYNOMIALS)
+def test_durand_kerner_is_bit_identical_to_reference(name):
+    # Same machine, same BLAS: roots are compared bit for bit, and a
+    # failure must carry the same message.
+    coeffs = PINNED_POLYNOMIALS[name]
+    outcomes = []
+    for solve in (_reference_roots, irr_module._durand_kerner):
+        with np.errstate(all="ignore"):
+            try:
+                outcomes.append(solve(coeffs))
+            except RootConvergenceError as error:
+                outcomes.append(str(error))
+    expected, got = outcomes
+    if isinstance(expected, str):
+        assert got == expected
+    else:
+        assert isinstance(got, np.ndarray) and np.array_equal(got, expected)
+
+
+def test_degree_4096_solve_stays_small():
+    # Blocks of root differences keep the iteration's memory at a few
+    # rows of n, where the full matrix alone would be 256 MiB.
+    tracemalloc.start()
+    try:
+        with pytest.raises(
+            RootConvergenceError, match=r"^root iteration did not converge \(residual nan\)$"
+        ):
+            general_irr(schedule((0.0, -1.0), (1.0, 0.1), (4096.0, 1.5)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20

@@ -2,6 +2,7 @@
 
 import inspect
 import math
+import re
 
 import numpy as np
 import pytest
@@ -22,6 +23,8 @@ from capreturn import (
     leveraged_discount_rate,
     leveraged_npv,
     npv,
+    rroe,
+    rroe_argmax,
     with_rotation,
 )
 from capreturn import valuation as valuation_module
@@ -282,3 +285,31 @@ RICH = constant_scenario(rate=0.5, k0=1e307)  # finite growth, a value beyond ra
 def test_beyond_float_range_is_a_typed_error(closed_form):
     with pytest.raises(DegenerateCapitalError, match="float range"):
         closed_form()
+
+
+# Each guarded public function at leverage -2 and, where it takes one, a
+# discount rate of 0; the two that take both also at a valid discount
+# rate, which reaches the leverage check.
+GUARDED_CALLS = {
+    "rroe": (rroe, lambda s: rroe(0.05, -2.0, 0.01)),
+    "rroe_argmax": (rroe_argmax, lambda s: rroe_argmax(s, -2.0, 0.01, [5.0, 10.0])),
+    "leveraged_discount_rate": (leveraged_discount_rate,
+                                lambda s: leveraged_discount_rate(s, -2.0, 0.01)),
+    "npv": (npv, lambda s: npv(s, 0.0)),
+    "leveraged_npv": (leveraged_npv, lambda s: leveraged_npv(s, 0.0, 0.01, -2.0)),
+    "leveraged_npv-valid-discount": (leveraged_npv,
+                                     lambda s: leveraged_npv(s, 0.03, 0.01, -2.0)),
+    "leverage_npv_ratio": (leverage_npv_ratio,
+                           lambda s: leverage_npv_ratio(s, 0.0, 0.01, -2.0)),
+    "leverage_npv_ratio-valid-discount": (leverage_npv_ratio,
+                                          lambda s: leverage_npv_ratio(s, 0.03, 0.01, -2.0)),
+}
+
+
+@pytest.mark.parametrize("name", GUARDED_CALLS)
+def test_guard_errors_are_named_in_the_docstring(name):
+    function, call = GUARDED_CALLS[name]
+    with pytest.raises((InvalidLeverageError, InvalidDiscountError)) as raised:
+        call(constant_scenario())
+    raises = inspect.getdoc(function).split("Raises:\n", 1)[1]
+    assert re.search(rf"^ +{raised.type.__name__}:", raises, re.MULTILINE)
