@@ -46,7 +46,8 @@ _MAX_DEGREE = 4096
 
 _MAX_ITERATIONS = 500
 _MOVEMENT_TOLERANCE = 1e-12
-_START_SEED = 0
+# Start-ring phase: float(np.random.default_rng(0).uniform(0.1, 0.9)) on numpy 2.4.6.
+_START_PHASE = 0.6095693498571635
 # Coefficients per row of the blocked polynomial evaluation.
 _BLOCK = 64
 
@@ -216,7 +217,7 @@ def _durand_kerner(coeffs: np.ndarray) -> np.ndarray:
     """All complex roots of a polynomial by simultaneous iteration.
 
     ``coeffs`` are real, in ascending powers. Starts from a ring with a
-    seeded random phase and updates every root estimate at once; stops when
+    fixed phase and updates every root estimate at once; stops when
     estimates stop moving or the polynomial values are at rounding level
     relative to their own magnitude scale. A NaN estimate makes every
     estimate NaN on the next step, so the iteration gives up at once; an
@@ -233,9 +234,8 @@ def _durand_kerner(coeffs: np.ndarray) -> np.ndarray:
     rows = _coefficient_rows(coeffs) * (1.0 / coeffs[-1])  # monic
     degree = len(coeffs) - 1
 
-    rng = np.random.default_rng(_START_SEED)
     radius = 1.0 + float(np.max(np.abs(rows.ravel()[:degree])))
-    angles = 2.0 * np.pi * (np.arange(degree) + rng.uniform(0.1, 0.9)) / degree
+    angles = 2.0 * np.pi * (np.arange(degree) + _START_PHASE) / degree
     roots = radius * np.exp(1j * angles)
 
     block = np.empty((min(_BLOCK, degree), degree), dtype=complex)

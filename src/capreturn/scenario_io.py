@@ -377,8 +377,8 @@ def read_cash_flow_csv(text: str) -> CashFlowSchedule:
 
     One leading byte-order mark (U+FEFF) is ignored. A header is skipped
     when the first row that is not blank has a first cell that is not
-    numeric. Messages name rows by their line in the text, blank rows
-    counted.
+    numeric. Cells after a data row's second must be blank. Messages name
+    rows by their line in the text, blank rows counted.
 
     Raises:
         ScenarioParseError: malformed CSV, a row that cannot be read (the
@@ -400,7 +400,7 @@ def read_cash_flow_csv(text: str) -> CashFlowSchedule:
             if k == 0:
                 continue  # header row
             raise ScenarioParseError(f"row {line}: time {row[0]!r} is not numeric")
-        if len(row) < 2:
+        if len(row) < 2 or any(map(str.strip, row[2:])):
             raise ScenarioParseError(f"row {line}: expected time,amount")
         try:
             events.append(CashEvent(time=t, amount=float(row[1])))

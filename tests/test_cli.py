@@ -4,6 +4,9 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -17,6 +20,7 @@ from capreturn import (
     rroc,
     with_rotation,
 )
+import capreturn
 from capreturn import cli
 from capreturn import growth as growth_module
 from capreturn import leverage as leverage_module
@@ -529,6 +533,7 @@ class TestUnreadableInput:
         [
             ("time,amount\n0,-1\n1,x\n", "row 3: could not convert string to float: 'x'"),
             ("time,amount\n0,-1\n1\n", "row 3: expected time,amount"),
+            ("time,amount\n0,-1\n5,1,500\n", "row 3: expected time,amount"),
             ("time,amount\n0,-1\nx,1\n", "row 3: time 'x' is not numeric"),
             ("time,amount\n0,-1\n", "schedule needs at least two events"),
             ("time,amount\n-1,-1\n1,2\n", "event times must be nonnegative"),
@@ -539,8 +544,8 @@ class TestUnreadableInput:
             ('"' + "x" * 200_000 + '",1\n',
              "malformed CSV: field larger than field limit (131072)"),
         ],
-        ids=["cell", "short-row", "time", "one-event", "negative-time", "decreasing",
-             "one-instant", "cancel", "one-grid-instant", "huge-field"],
+        ids=["cell", "short-row", "third-cell", "time", "one-event", "negative-time",
+             "decreasing", "one-instant", "cancel", "one-grid-instant", "huge-field"],
     )
     def test_bad_cash_flows(self, tmp_path, capsys, text, message):
         flows = tmp_path / "flows.csv"
@@ -688,3 +693,27 @@ class TestIrrCommand:
         assert main(["irr", "--cashflows", str(flows)]) == 1
         err = capsys.readouterr().err.splitlines()
         assert err == [f"capreturn irr: error: row {bad_row}: time and amount must be finite"]
+
+    def test_irr_loads_no_random_module(self, tmp_path):
+        # A fresh interpreter: pytest and hypothesis may import numpy.random
+        # themselves.
+        flows = tmp_path / "flows.csv"
+        flows.write_text("time,amount\n0,-1\n1,0.5\n2,0.7\n3,-0.1\n")
+        script = (
+            "import contextlib, io, sys\n"
+            "from capreturn import cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    status = cli.main(['irr', '--cashflows', sys.argv[1]])\n"
+            "print(status)\n"
+            "print('\\n'.join(sorted(sys.modules)))\n"
+        )
+        source = str(Path(capreturn.__file__).parents[1])
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, [source, os.environ.get("PYTHONPATH")]))}
+        run = subprocess.run([sys.executable, "-c", script, str(flows)], env=env,
+                             capture_output=True, text=True, check=True)
+        status, *modules = run.stdout.splitlines()
+        assert status == "0"
+        assert "capreturn.irr" in modules
+        assert [m for m in modules if m == "numpy.random" or m.startswith("numpy.random.")] == []
+        assert "secrets" not in modules

@@ -522,6 +522,9 @@ class TestCashFlowCsv:
         with pytest.raises(ScenarioParseError, match="row 5: expected time,amount"):
             read_cash_flow_csv("\ntime,amount\n0,-1\n\n1\n")
 
+    def test_blank_trailing_cells_are_read(self):
+        assert read_cash_flow_csv("0,-1,\n1,1.1,\n") == read_cash_flow_csv("0,-1\n1,1.1\n")
+
     def test_all_positive_has_no_rate(self):
         with pytest.raises(NoRootError):
             read_cash_flow_csv("time,amount\n0,1\n1,2\n")
@@ -529,9 +532,10 @@ class TestCashFlowCsv:
     @pytest.mark.parametrize(
         "text",
         ["time,amount\n0,-1\n1,x\n", "time,amount\n0,-1\n1\n", "time,amount\n0,-1\nx,1\n",
-         "time,amount\n0,-1\n", "-1,-1\n1,2\n", "1,-1\n0,2\n", '"' + "x" * 200_000 + '",1\n'],
+         "time,amount\n0,-1\n", "-1,-1\n1,2\n", "1,-1\n0,2\n", '"' + "x" * 200_000 + '",1\n',
+         "time,amount\n0,-1\n5,1,500\n"],
         ids=["cell", "short-row", "time", "one-event", "negative-time", "decreasing",
-             "huge-field"],
+             "huge-field", "third-cell"],
     )
     def test_unreadable_text_is_a_parse_error(self, text):
         with pytest.raises(ScenarioParseError):
