@@ -47,6 +47,7 @@ from .growth import (
     expected_capitalization,
     expected_profit_rate,
     expected_values,
+    growth_cycle_irr,
     rroc,
     with_rotation,
 )
@@ -55,7 +56,6 @@ from .irr import (
     CashFlowSchedule,
     IrrResult,
     general_irr,
-    growth_cycle_irr,
 )
 from .leverage import (
     leveraged_discount_rate,

@@ -28,8 +28,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import CapReturnError, ScenarioParseError
-from .growth import rroc, with_rotation
-from .irr import _irr_argmax, general_irr, growth_cycle_irr
+from .growth import growth_cycle_irr, rroc, with_rotation
+from .irr import general_irr
 from .leverage import leveraged_discount_rate, rroe, rroe_argmax
 from .scenario_io import (
     MAX_INTERVALS,
@@ -39,7 +39,7 @@ from .scenario_io import (
     read_cash_flow_csv,
     write_table,
 )
-from .valuation import _npv, _npv_argmax, _require_discount, npv
+from .valuation import _irr_argmax, _npv, _npv_argmax, _require_discount, npv
 
 _METRICS = ("irr", "rroc", "npv", "rroe", "omega")
 

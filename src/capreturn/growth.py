@@ -9,6 +9,9 @@ uniformly over the rotation.
 Profit is recognized on an accrual basis: growth counts as it occurs,
 and investment events are not profit themselves — they only change the
 capital base that later growth compounds on.
+
+Without intermediate events a cycle's IRR is its time-average spot rate
+(:func:`growth_cycle_irr`); with them, see :func:`capreturn.irr.general_irr`.
 """
 
 from __future__ import annotations
@@ -115,6 +118,26 @@ def _require_investment_free(scenario: GrowthScenario) -> None:
             "closed forms (IRR, present values, break-even rate) need an "
             "investment-free scenario"
         )
+
+
+def growth_cycle_irr(
+    scenario: GrowthScenario, *, intervals: int = DEFAULT_INTERVALS
+) -> float:
+    """IRR of an investment-free growth cycle, per year.
+
+    Buying the cycle at its starting capital and selling at its terminal
+    capital breaks even under continuous discounting exactly at the
+    time-average spot rate, which this returns. It is all that the closed
+    forms (present values, break-even rate) take from the path, since
+    without intermediate events they depend on it through nothing else.
+
+    Raises:
+        UnsupportedScheduleError: if the scenario has intermediate
+            investment events (convert those to a cash-flow schedule and
+            use :func:`general_irr` instead).
+    """
+    _require_investment_free(scenario)
+    return scenario.path.time_average_rate(scenario.rotation_length, intervals=intervals)
 
 
 def with_rotation(scenario: GrowthScenario, rotation_length: float) -> GrowthScenario:

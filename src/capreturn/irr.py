@@ -1,19 +1,16 @@
-"""Internal rates of return on growth cycles and cash-flow schedules.
+"""Internal rates of return of dated cash-flow schedules.
 
-Two routes are provided. For an investment-free growth cycle the IRR has
-a closed form: the discount rate that zeroes the discounted terminal
-gain is exactly the time-average spot rate over the rotation, so it
-depends on the path through that average alone, however the rate is
-sequenced (:func:`growth_cycle_irr`). For an arbitrary dated cash-flow
-schedule, discounting each event continuously and substituting
-``x = exp(-rate * step)`` turns the zero-value condition into a
-polynomial in ``x``, whose full complex root set is found by
-simultaneous iteration (:func:`general_irr`). Most of those roots carry
-no financial meaning, but all of them exist and all are reported. Each
-step of the iteration evaluates the polynomial in blocks of ``_BLOCK``
-coefficients: one matrix product per step, then Horner's rule across
-the blocks. It forms the pairwise root differences ``_BLOCK`` estimates
-at a time, so its memory grows with the degree, not with its square.
+Discounting each event of a schedule continuously and substituting
+``x = exp(-rate * step)``, with ``step`` the events' common grid step,
+turns the zero-value condition into a polynomial in ``x``, whose full
+complex root set is found by simultaneous iteration (:func:`general_irr`).
+Most of those roots carry no financial meaning, but all of them exist
+and all are reported. Each step of the iteration evaluates the
+polynomial in blocks of ``_BLOCK`` coefficients: one matrix product per
+step, then Horner's rule across the blocks. It forms the pairwise root
+differences ``_BLOCK`` estimates at a time, so its memory grows with the
+degree, not with its square. The closed-form IRR of an investment-free
+growth cycle is :func:`capreturn.growth.growth_cycle_irr`.
 """
 
 from __future__ import annotations
@@ -28,9 +25,6 @@ from .errors import (
     NoRootError,
     RootConvergenceError,
 )
-from .growth import GrowthScenario, _cycle_returns, _require_investment_free
-from .optimize import _first_order_argmax, _rounding
-from .quadrature import DEFAULT_INTERVALS, _definite_integral
 
 #: Event times must sit on the common grid within this many years.
 TIME_TOLERANCE = 1e-9
@@ -114,43 +108,6 @@ class IrrResult:
     degree: int
 
 
-def growth_cycle_irr(
-    scenario: GrowthScenario, *, intervals: int = DEFAULT_INTERVALS
-) -> float:
-    """IRR of an investment-free growth cycle, per year.
-
-    Buying the cycle at its starting capital and selling at its terminal
-    capital breaks even under continuous discounting exactly at the
-    time-average spot rate, which this returns. It is all that the closed
-    forms (present values, break-even rate) take from the path, since
-    without intermediate events they depend on it through nothing else.
-
-    Raises:
-        UnsupportedScheduleError: if the scenario has intermediate
-            investment events (convert those to a cash-flow schedule and
-            use :func:`general_irr` instead).
-    """
-    _require_investment_free(scenario)
-    return scenario.path.time_average_rate(scenario.rotation_length, intervals=intervals)
-
-
-def _irr_argmax(scenario: GrowthScenario, rotation_grid, intervals: int) -> float:
-    """``optimize._first_order_argmax`` of the IRR, the time-average rate
-    ``R / tau``: its slope ``(r(tau) - irr(tau)) / tau`` vanishes where the
-    spot rate falls to it. Returns the rotation length alone."""
-
-    def curve(longest: GrowthScenario, grid: np.ndarray):
-        times, returns = _cycle_returns(longest, tuple(grid), intervals)
-        avg = returns / times
-
-        def threshold(i, t, step, panel):
-            return (returns[i] + _definite_integral(panel, step)) / t
-
-        return times, avg, _rounding(avg), threshold
-
-    return _first_order_argmax(scenario, rotation_grid, curve)
-
-
 def _common_step(times: list[float]) -> float:
     """Greatest step placing every time on an integer grid point. Every
     time exceeds ``TIME_TOLERANCE``, and so does every step Euclid takes."""
@@ -161,7 +118,8 @@ def _common_step(times: list[float]) -> float:
         while t > TIME_TOLERANCE:
             step, t = t, math.fmod(step, t)
     for t in times:
-        if abs(t - round(t / step) * step) > TIME_TOLERANCE:
+        quotient = t / step  # infinite once t is beyond float range in steps
+        if not (math.isfinite(quotient) and abs(t - round(quotient) * step) <= TIME_TOLERANCE):
             raise DiscretizationError(
                 f"event time {t:g} is not a multiple of the base step {step:g}"
             )
@@ -297,17 +255,18 @@ def general_irr(schedule: CashFlowSchedule) -> IrrResult:
     times = np.array([e.time for e in schedule.events], dtype=float)
     amounts = np.array([e.amount for e in schedule.events], dtype=float)
 
-    step = _common_step([t for t in times if t > TIME_TOLERANCE])
-    exponents = np.rint(times / step).astype(int)
-    degree_span = int(exponents.max())
+    step = _common_step([t for t in times.tolist() if t > TIME_TOLERANCE])
+    # Judged as floats: an exponent beyond int64 would wrap in astype(int).
+    exponents = np.rint(times / step)
+    degree_span = exponents.max()
     if degree_span > _MAX_DEGREE:
         raise DiscretizationError(
-            f"discretized polynomial degree {degree_span} exceeds {_MAX_DEGREE}; "
+            f"discretized polynomial degree {degree_span:.6g} exceeds {_MAX_DEGREE}; "
             "event times are too finely incommensurate"
         )
 
-    coeffs = np.zeros(degree_span + 1)
-    np.add.at(coeffs, exponents, amounts)
+    coeffs = np.zeros(int(degree_span) + 1)
+    np.add.at(coeffs, exponents.astype(int), amounts)
     nonzero = np.nonzero(coeffs)[0]
     if len(nonzero) == 0:
         raise NoRootError("all amounts cancel; every rate is a root")

@@ -15,8 +15,7 @@ from collections.abc import Sequence
 import numpy as np
 
 from .errors import DegenerateCapitalError, InvalidLeverageError, WipedOutEquityError
-from .growth import GrowthScenario, _exp, _segments
-from .irr import growth_cycle_irr
+from .growth import GrowthScenario, _exp, _segments, growth_cycle_irr
 from .memo import remember_latest
 from .optimize import _first_order_argmax, _rounding
 from .quadrature import DEFAULT_INTERVALS, _definite_integral, cumulative_simpson_nodes

@@ -42,6 +42,7 @@ import math
 from dataclasses import dataclass, fields
 from collections.abc import Sequence
 from itertools import chain
+from typing import ClassVar
 
 from .errors import DomainError, NoRootError, ScenarioParseError, ScenarioValidationError
 from .estate import AgeDensity, EstateSpec, TabulatedAgeDensity, UniformAgeDensity
@@ -64,7 +65,7 @@ class ScenarioDocument:
     investments: tuple[InvestmentEvent, ...] = ()
     ages: AgeDensity | None = None
     quadrature_intervals: int = DEFAULT_INTERVALS
-    schema_version: int = SCHEMA_VERSION
+    schema_version: ClassVar[int] = SCHEMA_VERSION  # the only one parse_scenario reads
 
     def scenario(self) -> GrowthScenario:
         return GrowthScenario(
@@ -255,7 +256,6 @@ def _validate(raw) -> ScenarioDocument:
         investments=investments,
         ages=ages,
         quadrature_intervals=intervals,
-        schema_version=SCHEMA_VERSION,
     )
 
 

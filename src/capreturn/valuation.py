@@ -10,9 +10,9 @@ loan and its compounded interest are repaid at the rotation end.
 Without intermediate investments every value here depends on the path
 only through its time-average rate over the rotation, which is the IRR:
 each public function takes that one number from
-:func:`~capreturn.irr.growth_cycle_irr` over the scenario's own rotation
-and evaluates a closed form of ``(K0, average rate, tau, d, u, L)``. To
-value another rotation of the same path, pass
+:func:`~capreturn.growth.growth_cycle_irr` over the scenario's own
+rotation and evaluates a closed form of ``(K0, average rate, tau, d, u, L)``.
+To value another rotation of the same path, pass
 ``with_rotation(scenario, tau)``.
 """
 
@@ -23,8 +23,7 @@ import math
 import numpy as np
 
 from .errors import DegenerateCapitalError, IndeterminateRatioError, InvalidDiscountError
-from .growth import GrowthScenario, _cycle_returns, _exp
-from .irr import growth_cycle_irr
+from .growth import GrowthScenario, _cycle_returns, _exp, growth_cycle_irr
 from .leverage import _require_leverage
 from .optimize import _first_order_argmax, _rounding
 from .quadrature import DEFAULT_INTERVALS, _definite_integral
@@ -105,6 +104,23 @@ def _npv_argmax(
             return discount_rate * -np.expm1(-cumulative) / -np.expm1(-discount_rate * t)
 
         return times, np.expm1(gain) / factor, rounding, threshold
+
+    return _first_order_argmax(scenario, rotation_grid, curve)
+
+
+def _irr_argmax(scenario: GrowthScenario, rotation_grid, intervals: int) -> float:
+    """``optimize._first_order_argmax`` of the IRR, the time-average rate
+    ``R / tau``: its slope ``(r(tau) - irr(tau)) / tau`` vanishes where the
+    spot rate falls to it. Returns the rotation length alone."""
+
+    def curve(longest: GrowthScenario, grid: np.ndarray):
+        times, returns = _cycle_returns(longest, tuple(grid), intervals)
+        avg = returns / times
+
+        def threshold(i, t, step, panel):
+            return (returns[i] + _definite_integral(panel, step)) / t
+
+        return times, avg, _rounding(avg), threshold
 
     return _first_order_argmax(scenario, rotation_grid, curve)
 

@@ -543,9 +543,15 @@ class TestUnreadableInput:
             ("0,-1\n1,1\n1,-1\n", "events collapse to a single grid instant"),
             ('"' + "x" * 200_000 + '",1\n',
              "malformed CSV: field larger than field limit (131072)"),
+            ("time,amount\n0,-1\n1,0.5\n1e19,1\n",
+             "discretized polynomial degree 1e+19 exceeds 4096; "
+             "event times are too finely incommensurate"),
+            ("time,amount\n0,-1\n1.5e-9,0.5\n1e300,1\n",
+             "event time 1e+300 is not a multiple of the base step 1.03874e-09"),
         ],
         ids=["cell", "short-row", "third-cell", "time", "one-event", "negative-time",
-             "decreasing", "one-instant", "cancel", "one-grid-instant", "huge-field"],
+             "decreasing", "one-instant", "cancel", "one-grid-instant", "huge-field",
+             "degree-beyond-int64", "time-beyond-float-steps"],
     )
     def test_bad_cash_flows(self, tmp_path, capsys, text, message):
         flows = tmp_path / "flows.csv"

@@ -1,7 +1,11 @@
 """Cash-flow rate-of-return solving: closed-form cycle and polynomial routes."""
 
+import dataclasses
+import importlib
 import math
+import shutil
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,7 +31,9 @@ from capreturn import (
     with_rotation,
 )
 from capreturn import irr as irr_module
-from capreturn.irr import _coefficient_rows, _evaluate, _irr_argmax
+from capreturn import valuation as valuation_module
+from capreturn.irr import _coefficient_rows, _evaluate
+from capreturn.valuation import _irr_argmax
 from oracles import bisect_root, real_roots_by_scan, refine_argmax
 
 MEAN, SHAPE, CYCLE = 0.05, 0.5, 100.0
@@ -96,7 +102,7 @@ class TestIrrSearch:
             calls.append(rotation.rotation_length)
             return growth_cycle_irr(rotation, **kwargs)
 
-        monkeypatch.setattr(irr_module, "growth_cycle_irr", counted)
+        monkeypatch.setattr(valuation_module, "growth_cycle_irr", counted)
         _irr_argmax(SEARCH_SCENARIOS[name], self.grid(SEARCH_SCENARIOS[name]), 4096)
         # The search returns tau* alone: not even the optimum is valued.
         assert calls == []
@@ -244,6 +250,22 @@ class TestGeneralIrr:
             match=r"^event time 1 is not a multiple of the base step 1e-08$",
         ):
             general_irr(schedule((0.0, -1.0), (3e-8, 0.5), (1.0, 1.0)))
+
+    @pytest.mark.parametrize(
+        "pairs, message",
+        [
+            # Degree 1e19 wraps past int64 if converted before it is judged.
+            (((0.0, -1.0), (1.0, 0.5), (1e19, 1.0)),
+             r"^discretized polynomial degree 1e\+19 exceeds 4096; "),
+            # 1e300 over a step near 1e-9 is an infinite quotient.
+            (((0.0, -1.0), (1.5e-9, 0.5), (1e300, 1.0)),
+             r"^event time 1e\+300 is not a multiple of the base step "),
+        ],
+        ids=["degree-beyond-int64", "time-beyond-float-steps"],
+    )
+    def test_times_beyond_the_grid_are_named(self, pairs, message):
+        with pytest.raises(DiscretizationError, match=message):
+            general_irr(schedule(*pairs))
 
     def test_degree_cap_rejected(self):
         with pytest.raises(DiscretizationError):
@@ -437,3 +459,20 @@ def test_degree_4096_solve_stays_small():
     finally:
         tracemalloc.stop()
     assert peak < 64 * 2**20
+
+
+def test_solver_stands_alone(tmp_path, monkeypatch):
+    # irr.py and errors.py alone, in a package of their own, solve a schedule.
+    package = tmp_path / "standalone_irr"
+    package.mkdir()
+    (package / "__init__.py").write_text("")
+    source = Path(irr_module.__file__).parent
+    for name in ("errors.py", "irr.py"):
+        shutil.copy(source / name, package / name)
+    monkeypatch.syspath_prepend(str(tmp_path))
+    standalone = importlib.import_module("standalone_irr.irr")
+    pairs = ((0.0, -2.0), (1.0, 1.1), (3.0, 0.4), (5.0, 0.9))
+    got = standalone.general_irr(
+        standalone.CashFlowSchedule(tuple(standalone.CashEvent(t, a) for t, a in pairs))
+    )
+    assert dataclasses.asdict(got) == dataclasses.asdict(general_irr(schedule(*pairs)))

@@ -53,6 +53,11 @@ class TestParse:
         assert doc.ages is None
         assert doc.scenario() == GrowthScenario(1.0, 10.0, ConstantPath(0.05))
 
+    def test_schema_version_is_not_settable(self):
+        # Only version 1 parses, so a document may not claim another.
+        with pytest.raises(TypeError, match="schema_version"):
+            ScenarioDocument(1.0, 10.0, ConstantPath(0.05), schema_version=2)
+
     def test_full_document(self):
         text = json.dumps(
             {
