@@ -57,11 +57,8 @@ from .irr import (
     IrrResult,
     general_irr,
 )
-from .leverage import (
-    leveraged_discount_rate,
-    rroe,
-    rroe_argmax,
-)
+from .leverage import leveraged_discount_rate, rroe
+from .optimize import rroe_argmax
 from .paths import (
     ConstantPath,
     ReturnPath,

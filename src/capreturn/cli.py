@@ -30,7 +30,8 @@ import numpy as np
 from .errors import CapReturnError, ScenarioParseError
 from .growth import growth_cycle_irr, rroc, with_rotation
 from .irr import general_irr
-from .leverage import leveraged_discount_rate, rroe, rroe_argmax
+from .leverage import leveraged_discount_rate, rroe
+from .optimize import _irr_argmax, _npv_argmax, rroe_argmax
 from .scenario_io import (
     MAX_INTERVALS,
     ScenarioDocument,
@@ -39,7 +40,7 @@ from .scenario_io import (
     read_cash_flow_csv,
     write_table,
 )
-from .valuation import _irr_argmax, _npv, _npv_argmax, _require_discount, npv
+from .valuation import _npv, _require_discount, npv
 
 _METRICS = ("irr", "rroc", "npv", "rroe", "omega")
 

@@ -22,7 +22,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateCapitalError, UnsupportedScheduleError
-from .memo import remember_latest
 from .paths import ReturnPath, _require_within
 from .quadrature import (
     DEFAULT_INTERVALS,
@@ -97,19 +96,6 @@ def _exp(x: float) -> float:
     if value == math.inf:
         raise DegenerateCapitalError(f"growth factor exp({x:.6g}) is beyond float range")
     return value
-
-
-@remember_latest
-def _cycle_returns(scenario: GrowthScenario, cuts: tuple[float, ...], intervals: int):
-    """The nodes after time 0 of one Simpson pass over the rotation, cut at
-    path kinks and ``cuts``, and the cumulative return to each. No capital
-    is built, so nothing overflows. The latest pass is remembered for the
-    optima at several discount rates; callers only read its arrays."""
-    _require_investment_free(scenario)
-    all_cuts = np.concatenate((scenario.path._kinks(), cuts))
-    times, steps = _grid(0.0, scenario.rotation_length, all_cuts, intervals)
-    returns = cumulative_simpson_nodes(scenario.path._clipped_rates(times), steps)
-    return times[1:], returns[1:]
 
 
 def _require_investment_free(scenario: GrowthScenario) -> None:

@@ -16,6 +16,7 @@ growth cycle is :func:`capreturn.growth.growth_cycle_irr`.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -253,7 +254,9 @@ def general_irr(schedule: CashFlowSchedule) -> IrrResult:
         RootConvergenceError: the simultaneous iteration stalled.
     """
     times = np.array([e.time for e in schedule.events], dtype=float)
-    amounts = np.array([e.amount for e in schedule.events], dtype=float)
+    # Scaled exactly, by a power of two, so that no sum of amounts overflows.
+    _, exponent = math.frexp(max(abs(e.amount) for e in schedule.events))
+    amounts = np.ldexp([e.amount for e in schedule.events], -exponent)
 
     step = _common_step([t for t in times.tolist() if t > TIME_TOLERANCE])
     # Judged as floats: an exponent beyond int64 would wrap in astype(int).
@@ -286,9 +289,11 @@ def general_irr(schedule: CashFlowSchedule) -> IrrResult:
             continue
         rate, residual = _polish_rate(times, amounts, -math.log(x.real) / step)
         discounted_scale = float(np.sum(np.abs(amounts) * np.exp(-rate * times)))
-        if residual < RESIDUAL_TOLERANCE * max(amount_scale, discounted_scale):
+        bound = RESIDUAL_TOLERANCE * max(amount_scale, discounted_scale)
+        # Judged scaled; a root whose residual is beyond float range is dropped.
+        if residual < bound and math.frexp(residual)[1] + exponent <= sys.float_info.max_exp:
             rates.append(rate)
-            residuals.append(residual)
+            residuals.append(math.ldexp(residual, exponent))
 
     order = sorted(range(len(rates)), key=lambda i: rates[i])
     rates = [rates[i] for i in order]

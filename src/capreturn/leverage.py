@@ -10,15 +10,10 @@ in interest-bearing instruments.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
-
-import numpy as np
 
 from .errors import DegenerateCapitalError, InvalidLeverageError, WipedOutEquityError
-from .growth import GrowthScenario, _exp, _segments, growth_cycle_irr
-from .memo import remember_latest
-from .optimize import _first_order_argmax, _rounding
-from .quadrature import DEFAULT_INTERVALS, _definite_integral, cumulative_simpson_nodes
+from .growth import GrowthScenario, _exp, growth_cycle_irr
+from .quadrature import DEFAULT_INTERVALS
 
 
 def _require_leverage(leverage: float, market_rate: float) -> None:
@@ -97,81 +92,3 @@ def leveraged_discount_rate(
             f"rate fails its zero-value check (residual {check:.3e})"
         )
     return rate
-
-
-@remember_latest
-def _rroc_argmax(
-    scenario: GrowthScenario, rotation_grid: tuple[float, ...], intervals: int
-) -> float:
-    """``optimize._first_order_argmax`` of the capital return, whose
-    threshold is the capital return itself:
-    ``d rroc / d tau = K(tau) / C(tau) * (r(tau) - rroc(tau))``, with ``C``
-    the integral of capital ``K``. The running integrals ``P`` of ``K * r``
-    and ``C`` of ``K`` at a node of the longest rotation are those of the
-    rotation ending there, since a shorter rotation only drops the events
-    at or after its end; between nodes, capital grows from the node's by
-    the panel's running integral of the rate, and the threshold is
-    ``P / C``. A constant path is flat: the shortest rotation wins.
-
-    The latest search is remembered, so the equity-return maximizers of
-    one scenario at several market rates or leverages share it. A
-    scenario that cannot be hashed is searched afresh.
-
-    Raises:
-        DomainError: empty grid, or a grid point not finite and > 0.
-        DegenerateCapitalError: from the pass over the longest rotation.
-    """
-
-    def curve(longest: GrowthScenario, grid: np.ndarray):
-        times, steps, rates, capital = _segments(longest, grid, intervals)
-        profit = cumulative_simpson_nodes(capital * rates, steps)
-        capitalization = cumulative_simpson_nodes(capital, steps)
-        ratio = profit / capitalization
-
-        def threshold(i, t, step, panel):
-            grown = capital[i] * np.exp(cumulative_simpson_nodes(panel, step))
-            return (profit[i] + _definite_integral(grown * panel, step)) / (
-                capitalization[i] + _definite_integral(grown, step)
-            )
-
-        return times, ratio, _rounding(ratio), threshold
-
-    return _first_order_argmax(scenario, rotation_grid, curve)
-
-
-def rroe_argmax(
-    scenario: GrowthScenario,
-    leverage: float,
-    market_rate: float,
-    rotation_grid: Sequence[float],
-    *,
-    intervals: int = DEFAULT_INTERVALS,
-) -> float:
-    """Rotation length maximizing the return rate on equity, between the
-    shortest and the longest rotation of the grid.
-
-    The equity return ``(1 + L) * rroc - L * u`` is a positive affine
-    transform of the capital return whenever leverage exceeds -1, so its
-    maximizer is the capital return's own, ``r(tau*) = rroc(tau*)``, the
-    same for every market rate and leverage; at ``L = 0`` it is the
-    capital return's maximizer. The grid bounds the search range, not the
-    candidates. A flat capital return (a constant path) gives the
-    shortest rotation of the grid. The search is one pass over the
-    longest rotation and values no rotation; the latest search is
-    remembered, unless the scenario cannot be hashed (a path of a
-    non-frozen dataclass, say).
-
-    Raises:
-        InvalidLeverageError: leverage <= -1, NaN or infinite (at
-            exactly -1 the equity return is the market rate at every
-            rotation length, so the maximizer is undefined), or a market
-            rate NaN or infinite.
-        DomainError: empty grid, or a grid point not finite and > 0.
-        DegenerateCapitalError: from the pass over the longest rotation.
-    """
-    _require_leverage(leverage, market_rate)
-    if leverage == -1.0:
-        raise InvalidLeverageError(
-            "equity-return maximizer needs leverage strictly above -1"
-        )
-    return _rroc_argmax(scenario, tuple(map(float, rotation_grid)), intervals)

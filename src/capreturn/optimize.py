@@ -1,8 +1,9 @@
-"""The one rotation-length search behind every ``optimize`` objective:
-the optimum is where the spot rate falls to the objective's threshold,
-bracketed by the best node of one pass over the longest rotation and
-found on that pass's running sums, with no further pass. It returns the
-rotation length alone: a caller that needs the objective there values it."""
+"""Every rotation-length search, with the curves it reads and the passes
+they remember. An optimum is where the spot rate falls to the
+objective's threshold, bracketed by the best node of one pass over the
+longest rotation and found on that pass's running sums, with no further
+pass. A search returns the rotation length alone: a caller that needs
+the objective there values it."""
 
 from __future__ import annotations
 
@@ -11,8 +12,12 @@ from collections.abc import Callable, Sequence
 
 import numpy as np
 
-from .errors import DegenerateCapitalError, DomainError
-from .growth import GrowthScenario, with_rotation
+from .errors import DegenerateCapitalError, DomainError, InvalidLeverageError
+from .growth import GrowthScenario, _require_investment_free, _segments, with_rotation
+from .leverage import _require_leverage
+from .memo import remember_latest
+from .quadrature import DEFAULT_INTERVALS, _definite_integral, _grid, cumulative_simpson_nodes
+from .valuation import _require_discount
 
 # A node value computed to about float precision lies within this share
 # of itself, or of 1 if it is smaller, of its exact value. On constant
@@ -137,3 +142,139 @@ def _bracketed_root(
         b += step if abs(step) > delta else math.copysign(delta, half)
         fb = f(b)
     return b
+
+
+@remember_latest
+def _cycle_returns(scenario: GrowthScenario, cuts: tuple[float, ...], intervals: int):
+    """The nodes after time 0 of one Simpson pass over the rotation, cut at
+    path kinks and ``cuts``, and the cumulative return to each. No capital
+    is built, so nothing overflows. The latest pass is remembered for the
+    optima at several discount rates; callers only read its arrays."""
+    _require_investment_free(scenario)
+    all_cuts = np.concatenate((scenario.path._kinks(), cuts))
+    times, steps = _grid(0.0, scenario.rotation_length, all_cuts, intervals)
+    returns = cumulative_simpson_nodes(scenario.path._clipped_rates(times), steps)
+    return times[1:], returns[1:]
+
+
+@remember_latest
+def _rroc_argmax(
+    scenario: GrowthScenario, rotation_grid: tuple[float, ...], intervals: int
+) -> float:
+    """``optimize._first_order_argmax`` of the capital return, whose
+    threshold is the capital return itself:
+    ``d rroc / d tau = K(tau) / C(tau) * (r(tau) - rroc(tau))``, with ``C``
+    the integral of capital ``K``. The running integrals ``P`` of ``K * r``
+    and ``C`` of ``K`` at a node of the longest rotation are those of the
+    rotation ending there, since a shorter rotation only drops the events
+    at or after its end; between nodes, capital grows from the node's by
+    the panel's running integral of the rate, and the threshold is
+    ``P / C``. A constant path is flat: the shortest rotation wins.
+
+    The latest search is remembered, so the equity-return maximizers of
+    one scenario at several market rates or leverages share it. A
+    scenario that cannot be hashed is searched afresh.
+
+    Raises:
+        DomainError: empty grid, or a grid point not finite and > 0.
+        DegenerateCapitalError: from the pass over the longest rotation.
+    """
+
+    def curve(longest: GrowthScenario, grid: np.ndarray):
+        times, steps, rates, capital = _segments(longest, grid, intervals)
+        profit = cumulative_simpson_nodes(capital * rates, steps)
+        capitalization = cumulative_simpson_nodes(capital, steps)
+        ratio = profit / capitalization
+
+        def threshold(i, t, step, panel):
+            grown = capital[i] * np.exp(cumulative_simpson_nodes(panel, step))
+            return (profit[i] + _definite_integral(grown * panel, step)) / (
+                capitalization[i] + _definite_integral(grown, step)
+            )
+
+        return times, ratio, _rounding(ratio), threshold
+
+    return _first_order_argmax(scenario, rotation_grid, curve)
+
+
+def rroe_argmax(
+    scenario: GrowthScenario,
+    leverage: float,
+    market_rate: float,
+    rotation_grid: Sequence[float],
+    *,
+    intervals: int = DEFAULT_INTERVALS,
+) -> float:
+    """Rotation length maximizing the return rate on equity, between the
+    shortest and the longest rotation of the grid.
+
+    The equity return ``(1 + L) * rroc - L * u`` is a positive affine
+    transform of the capital return whenever leverage exceeds -1, so its
+    maximizer is the capital return's own, ``r(tau*) = rroc(tau*)``, the
+    same for every market rate and leverage; at ``L = 0`` it is the
+    capital return's maximizer. The grid bounds the search range, not the
+    candidates. A flat capital return (a constant path) gives the
+    shortest rotation of the grid. The search is one pass over the
+    longest rotation and values no rotation; the latest search is
+    remembered, unless the scenario cannot be hashed (a path of a
+    non-frozen dataclass, say).
+
+    Raises:
+        InvalidLeverageError: leverage <= -1, NaN or infinite (at
+            exactly -1 the equity return is the market rate at every
+            rotation length, so the maximizer is undefined), or a market
+            rate NaN or infinite.
+        DomainError: empty grid, or a grid point not finite and > 0.
+        DegenerateCapitalError: from the pass over the longest rotation.
+    """
+    _require_leverage(leverage, market_rate)
+    if leverage == -1.0:
+        raise InvalidLeverageError(
+            "equity-return maximizer needs leverage strictly above -1"
+        )
+    return _rroc_argmax(scenario, tuple(map(float, rotation_grid)), intervals)
+
+
+def _npv_argmax(
+    scenario: GrowthScenario, discount_rate: float, rotation_grid, intervals: int
+) -> float:
+    """``optimize._first_order_argmax`` of the present value ``N``, which
+    solves ``N * (1 - exp(-d*tau)) = K0 * (exp(R - d*tau) - 1)`` with
+    ``R = tau * avg`` the cumulative return. Its slope has the sign of
+    ``r(tau) - d * (1 - exp(-R)) / (1 - exp(-d*tau))``: the Faustmann
+    rotation, which moves with ``d``. The curve is ``N / K0``, built from
+    ``g = R - d*tau``; ``g`` carries the rounding of ``R``, which grows
+    with ``R``, and ``N / K0`` carries it times ``exp(g) / (1 - exp(-d*tau))``.
+    Returns the rotation length alone."""
+    _require_discount(discount_rate)
+
+    def curve(longest: GrowthScenario, grid: np.ndarray):
+        times, returns = _cycle_returns(longest, tuple(grid), intervals)
+        avg = returns / times
+        gain, factor = times * (avg - discount_rate), -np.expm1(-discount_rate * times)
+        rounding = _rounding(times * avg) * np.exp(gain) / factor
+
+        def threshold(i, t, step, panel):
+            cumulative = returns[i] + _definite_integral(panel, step)
+            return discount_rate * -np.expm1(-cumulative) / -np.expm1(-discount_rate * t)
+
+        return times, np.expm1(gain) / factor, rounding, threshold
+
+    return _first_order_argmax(scenario, rotation_grid, curve)
+
+
+def _irr_argmax(scenario: GrowthScenario, rotation_grid, intervals: int) -> float:
+    """``optimize._first_order_argmax`` of the IRR, the time-average rate
+    ``R / tau``: its slope ``(r(tau) - irr(tau)) / tau`` vanishes where the
+    spot rate falls to it. Returns the rotation length alone."""
+
+    def curve(longest: GrowthScenario, grid: np.ndarray):
+        times, returns = _cycle_returns(longest, tuple(grid), intervals)
+        avg = returns / times
+
+        def threshold(i, t, step, panel):
+            return (returns[i] + _definite_integral(panel, step)) / t
+
+        return times, avg, _rounding(avg), threshold
+
+    return _first_order_argmax(scenario, rotation_grid, curve)

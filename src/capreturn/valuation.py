@@ -20,13 +20,10 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from .errors import DegenerateCapitalError, IndeterminateRatioError, InvalidDiscountError
-from .growth import GrowthScenario, _cycle_returns, _exp, growth_cycle_irr
+from .growth import GrowthScenario, _exp, growth_cycle_irr
 from .leverage import _require_leverage
-from .optimize import _first_order_argmax, _rounding
-from .quadrature import DEFAULT_INTERVALS, _definite_integral
+from .quadrature import DEFAULT_INTERVALS
 
 
 def _require_discount(discount_rate: float) -> None:
@@ -78,51 +75,6 @@ def npv(
     _require_discount(discount_rate)
     avg = growth_cycle_irr(scenario, intervals=intervals)
     return _npv(scenario.initial_capital, avg, scenario.rotation_length, discount_rate)
-
-
-def _npv_argmax(
-    scenario: GrowthScenario, discount_rate: float, rotation_grid, intervals: int
-) -> float:
-    """``optimize._first_order_argmax`` of the present value ``N``, which
-    solves ``N * (1 - exp(-d*tau)) = K0 * (exp(R - d*tau) - 1)`` with
-    ``R = tau * avg`` the cumulative return. Its slope has the sign of
-    ``r(tau) - d * (1 - exp(-R)) / (1 - exp(-d*tau))``: the Faustmann
-    rotation, which moves with ``d``. The curve is ``N / K0``, built from
-    ``g = R - d*tau``; ``g`` carries the rounding of ``R``, which grows
-    with ``R``, and ``N / K0`` carries it times ``exp(g) / (1 - exp(-d*tau))``.
-    Returns the rotation length alone."""
-    _require_discount(discount_rate)
-
-    def curve(longest: GrowthScenario, grid: np.ndarray):
-        times, returns = _cycle_returns(longest, tuple(grid), intervals)
-        avg = returns / times
-        gain, factor = times * (avg - discount_rate), -np.expm1(-discount_rate * times)
-        rounding = _rounding(times * avg) * np.exp(gain) / factor
-
-        def threshold(i, t, step, panel):
-            cumulative = returns[i] + _definite_integral(panel, step)
-            return discount_rate * -np.expm1(-cumulative) / -np.expm1(-discount_rate * t)
-
-        return times, np.expm1(gain) / factor, rounding, threshold
-
-    return _first_order_argmax(scenario, rotation_grid, curve)
-
-
-def _irr_argmax(scenario: GrowthScenario, rotation_grid, intervals: int) -> float:
-    """``optimize._first_order_argmax`` of the IRR, the time-average rate
-    ``R / tau``: its slope ``(r(tau) - irr(tau)) / tau`` vanishes where the
-    spot rate falls to it. Returns the rotation length alone."""
-
-    def curve(longest: GrowthScenario, grid: np.ndarray):
-        times, returns = _cycle_returns(longest, tuple(grid), intervals)
-        avg = returns / times
-
-        def threshold(i, t, step, panel):
-            return (returns[i] + _definite_integral(panel, step)) / t
-
-        return times, avg, _rounding(avg), threshold
-
-    return _first_order_argmax(scenario, rotation_grid, curve)
 
 
 def leveraged_npv(

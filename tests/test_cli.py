@@ -23,7 +23,7 @@ from capreturn import (
 import capreturn
 from capreturn import cli
 from capreturn import growth as growth_module
-from capreturn import leverage as leverage_module
+from capreturn import optimize as optimize_module
 from capreturn.cli import main
 
 DATA = Path(__file__).parent / "data"
@@ -473,10 +473,10 @@ class TestOptimizeReport:
             passes.append(scenario.rotation_length)
             return original_segments(scenario, cuts, intervals)
 
-        leverage_module._rroc_argmax.cache_clear()  # the rroc and rroe search pass counts
+        optimize_module._rroc_argmax.cache_clear()  # the rroc and rroe search pass counts
         monkeypatch.setattr(ReturnPath, "cumulative_return", counted_return)
         monkeypatch.setattr(growth_module, "_segments", counted_segments)
-        monkeypatch.setattr(leverage_module, "_segments", counted_segments)
+        monkeypatch.setattr(optimize_module, "_segments", counted_segments)
         argv = ["optimize", "--scenario", str(DATA / "hump.json"), "--objective", objective]
         assert main(argv + self.RATES) == 0
         optima = sorted(set(stars(capsys.readouterr().out)))
@@ -493,8 +493,9 @@ class TestOptimizeReport:
             nodes.append(values.size)
             return original(values, steps)
 
-        growth_module._cycle_returns.cache_clear()
+        optimize_module._cycle_returns.cache_clear()
         monkeypatch.setattr(growth_module, "cumulative_simpson_nodes", counted)
+        monkeypatch.setattr(optimize_module, "cumulative_simpson_nodes", counted)
         argv = ["optimize", "--scenario", str(DATA / "hump.json"), "--objective", "npv",
                 "--d", "0.03", "--d", "0.06", "--d", "0.09"]
         assert main(argv) == 0
@@ -680,6 +681,20 @@ class TestIrrCommand:
         assert main(["irr", "--cashflows", str(marked)]) == 0
         assert capsys.readouterr().out == expected
         assert "principal   : 0.0656323183" in expected
+
+    def test_amounts_near_float_max_keep_their_root(self, tmp_path, capsys):
+        # An IRR does not move when every amount is scaled alike: these rows
+        # print the root of the same rows divided by 1e308.
+        rows = ((2.5, -1.4695472271092084e308), (8.5, -5.54695067909098e307),
+                (15.5, 1.144090318535321e308), (16.0, 1.0995923684745667e308))
+        principals = []
+        for divisor in (1.0, 1e308):
+            flows = tmp_path / "flows.csv"
+            flows.write_text("time,amount\n" + "".join(f"{t!r},{a / divisor!r}\n" for t, a in rows))
+            assert main(["irr", "--cashflows", str(flows)]) == 0
+            principals += [line for line in capsys.readouterr().out.splitlines()
+                           if line.startswith("principal")]
+        assert principals == ["principal   : 0.00884824405"] * 2
 
     def test_all_positive_fails(self, tmp_path, capsys):
         flows = tmp_path / "flows.csv"

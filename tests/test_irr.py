@@ -5,6 +5,7 @@ import importlib
 import math
 import shutil
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +21,7 @@ from capreturn import (
     GrowthScenario,
     InvestmentEvent,
     NoRootError,
+    ReturnPath,
     ReversedPath,
     RootConvergenceError,
     SinSquaredPath,
@@ -31,9 +33,8 @@ from capreturn import (
     with_rotation,
 )
 from capreturn import irr as irr_module
-from capreturn import valuation as valuation_module
 from capreturn.irr import _coefficient_rows, _evaluate
-from capreturn.valuation import _irr_argmax
+from capreturn.optimize import _irr_argmax
 from oracles import bisect_root, real_roots_by_scan, refine_argmax
 
 MEAN, SHAPE, CYCLE = 0.05, 0.5, 100.0
@@ -97,12 +98,14 @@ class TestIrrSearch:
 
     def test_one_single_point_irr_per_search(self, name, monkeypatch):
         calls = []
+        original = ReturnPath.time_average_rate
 
-        def counted(rotation, **kwargs):
-            calls.append(rotation.rotation_length)
-            return growth_cycle_irr(rotation, **kwargs)
+        def counted(path, horizon, **kwargs):
+            calls.append(horizon)
+            return original(path, horizon, **kwargs)
 
-        monkeypatch.setattr(valuation_module, "growth_cycle_irr", counted)
+        # Every single-point IRR takes the path's time average.
+        monkeypatch.setattr(ReturnPath, "time_average_rate", counted)
         _irr_argmax(SEARCH_SCENARIOS[name], self.grid(SEARCH_SCENARIOS[name]), 4096)
         # The search returns tau* alone: not even the optimum is valued.
         assert calls == []
@@ -267,6 +270,28 @@ class TestGeneralIrr:
         with pytest.raises(DiscretizationError, match=message):
             general_irr(schedule(*pairs))
 
+    def test_amounts_near_float_max_raise_no_warning(self):
+        # Their sums overflow unless the amounts are scaled first.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = general_irr(schedule((0.0, -1e308), (1.0, 1e308), (2.0, 1e308)))
+        # exp(-rate) solves x**2 + x - 1 = 0.
+        assert result.principal_root == pytest.approx(math.log((1 + math.sqrt(5)) / 2), abs=1e-12)
+        assert math.isfinite(result.residuals[0])
+
+    def test_residual_beyond_float_range_is_not_reported(self):
+        # A real root near -0.383, where the discounted amounts reach 1e324:
+        # its residual, scaled back to the amounts, is beyond float range.
+        result = general_irr(schedule((97.0, 1.6107519317932944e308),
+                                      (100.0, -5.110448605383279e307)))
+        assert all(math.isfinite(residual) for residual in result.residuals)
+        assert len(result.all_real_roots) + result.complex_root_count == result.degree
+
+    def test_amount_lost_beside_the_largest_is_a_typed_error(self):
+        # Scaled beside 1e308, -1e-320 is 0, so one grid instant is left.
+        with pytest.raises(NoRootError):
+            general_irr(schedule((0.0, -1e-320), (1.0, 1e308)))
+
     def test_degree_cap_rejected(self):
         with pytest.raises(DiscretizationError):
             general_irr(schedule((0.0, -1.0), (1e-5, 0.5), (1.0, 1.0)))
@@ -359,6 +384,19 @@ def test_scaling_amounts_leaves_roots_unchanged(scale):
     assert len(a.all_real_roots) == len(b.all_real_roots)
     for x, y in zip(a.all_real_roots, b.all_real_roots):
         assert x == pytest.approx(y, abs=1e-10)
+
+
+@settings(max_examples=40, deadline=None)
+@given(power=st.integers(-1000, 1023))
+def test_power_of_two_scaling_is_exact(power):
+    # The amounts are scaled by a power of two before any sum, so one more
+    # power of two changes no root and scales each residual exactly.
+    rows = ((0.0, -1.0), (1.0, 0.3), (2.5, 0.6), (4.0, -0.2), (6.0, 1.1))
+    base = general_irr(schedule(*rows))
+    scaled = general_irr(schedule(*((t, math.ldexp(a, power)) for t, a in rows)))
+    assert base.all_real_roots and scaled.all_real_roots == base.all_real_roots
+    assert scaled.residuals == tuple(math.ldexp(r, power) for r in base.residuals)
+    assert scaled.complex_root_count == base.complex_root_count
 
 
 def _reference_roots(coeffs):

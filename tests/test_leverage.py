@@ -30,6 +30,7 @@ from capreturn import (
 import capreturn
 from capreturn import growth as growth_module
 from capreturn import leverage as leverage_module
+from capreturn import optimize as optimize_module
 from oracles import bisect_root, refine_argmax
 
 MEAN, SHAPE, CYCLE = 0.05, 0.5, 100.0
@@ -274,14 +275,14 @@ def passes(monkeypatch):
     """The rotation length of every pass made by rroe_argmax, with the
     remembered search forgotten first."""
     calls = []
-    original = leverage_module._segments
+    original = optimize_module._segments
 
     def counted(*args):
         calls.append(args[0].rotation_length)
         return original(*args)
 
-    leverage_module._rroc_argmax.cache_clear()
-    monkeypatch.setattr(leverage_module, "_segments", counted)
+    optimize_module._rroc_argmax.cache_clear()
+    monkeypatch.setattr(optimize_module, "_segments", counted)
     return calls
 
 
@@ -421,12 +422,12 @@ class TestRrocSearch:
         def forbidden(*args, **kwargs):
             raise AssertionError("a rotation was valued")
 
-        leverage_module._rroc_argmax.cache_clear()
+        optimize_module._rroc_argmax.cache_clear()
         for module in (capreturn, growth_module):
             monkeypatch.setattr(module, "rroc", forbidden)
             monkeypatch.setattr(module, "expected_values", forbidden)
         monkeypatch.setattr(growth_module, "_segments", counted)
-        monkeypatch.setattr(leverage_module, "_segments", counted)
+        monkeypatch.setattr(optimize_module, "_segments", counted)
         tau = rroe_argmax(s, 1.0, 0.02, grid, intervals=1024)
         assert grid[0] <= tau <= grid[-1]
         assert calls == ["_segments"]
@@ -450,7 +451,7 @@ class TestRrocSearch:
         assert tau == pytest.approx(bisect_root(rate_gap, knee, knee + 0.5), abs=1e-8)
 
     def test_one_point_grid(self, passes):
-        assert leverage_module._rroc_argmax(hump_scenario(), (40.0,), 256) == 40.0
+        assert optimize_module._rroc_argmax(hump_scenario(), (40.0,), 256) == 40.0
         assert passes == [40.0]
 
     @pytest.mark.parametrize("grid, end", [((10.0, 30.0), 30.0), ((70.0, 90.0), 70.0)])
@@ -471,8 +472,8 @@ class TestRrocSearch:
         s = GrowthScenario(1.0, 10.0, ConstantPath(0.05))
         found = []
         for _ in range(2):
-            leverage_module._rroc_argmax.cache_clear()
-            found.append(leverage_module._rroc_argmax(s, (2.0, 4.0, 6.0), 64))
+            optimize_module._rroc_argmax.cache_clear()
+            found.append(optimize_module._rroc_argmax(s, (2.0, 4.0, 6.0), 64))
         # The capital return is flat: the shortest rotation wins.
         assert found == [2.0, 2.0]
 

@@ -17,6 +17,7 @@ from capreturn import (
     SinSquaredPath,
     UnsupportedScheduleError,
     InvestmentEvent,
+    ReturnPath,
     ReversedPath,
     growth_cycle_irr,
     leverage_npv_ratio,
@@ -27,8 +28,7 @@ from capreturn import (
     rroe_argmax,
     with_rotation,
 )
-from capreturn import valuation as valuation_module
-from capreturn.valuation import _npv_argmax
+from capreturn.optimize import _npv_argmax
 from oracles import bisect_root, npv_rotation_series, refine_argmax
 
 MEAN, SHAPE, CYCLE = 0.05, 0.5, 100.0
@@ -246,12 +246,14 @@ class TestNpvSearch:
 
     def test_one_single_point_npv_per_search(self, name, d, monkeypatch):
         calls = []
+        original = ReturnPath.time_average_rate
 
-        def counted(rotation, **kwargs):
-            calls.append(rotation.rotation_length)
-            return growth_cycle_irr(rotation, **kwargs)
+        def counted(path, horizon, **kwargs):
+            calls.append(horizon)
+            return original(path, horizon, **kwargs)
 
-        monkeypatch.setattr(valuation_module, "growth_cycle_irr", counted)
+        # Every single-point present value takes the path's time average.
+        monkeypatch.setattr(ReturnPath, "time_average_rate", counted)
         _npv_argmax(SEARCH_SCENARIOS[name], d, self.grid(SEARCH_SCENARIOS[name]), 4096)
         # The search returns tau* alone: not even the optimum is valued.
         assert calls == []
