@@ -283,10 +283,7 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     handlers = {"sweep": _cmd_sweep, "optimize": _cmd_optimize, "irr": _cmd_irr}
     try:
-        # Overflow ends in a typed error (capital beyond float range, a root
-        # that does not converge); numpy's warnings would only precede it.
-        with np.errstate(over="ignore", invalid="ignore"):
-            return handlers[args.command](args)
+        return handlers[args.command](args)
     except (CapReturnError, OSError) as exc:
         print(f"capreturn {args.command}: error: {exc}", file=sys.stderr)
         return 1

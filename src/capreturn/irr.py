@@ -16,7 +16,6 @@ growth cycle is :func:`capreturn.growth.growth_cycle_irr`.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,10 +29,9 @@ from .errors import (
 #: Event times must sit on the common grid within this many years.
 TIME_TOLERANCE = 1e-9
 
-#: Reported real roots must satisfy |sum(C_k * exp(-rate*t_k))| below
-#: this fraction of the larger of sum(|C_k|) and sum(|C_k| * exp(-rate*t_k)):
-#: at a strongly negative rate the discounted terms, and their rounding,
-#: far exceed the amounts themselves.
+#: Reported real roots must satisfy |sum(C_k * f_k)| below this fraction of
+#: sum(|C_k| * f_k), f_k = exp(-rate*t_k): each rate is judged against its
+#: own discounted amounts, whose rounding sets the scale at any rate.
 RESIDUAL_TOLERANCE = 1e-8
 
 # Largest polynomial degree solved; it sizes the coefficient array.
@@ -90,11 +88,12 @@ class IrrResult:
     """All rates solving the zero-discounted-value condition.
 
     ``all_real_roots`` holds the real per-year rates in increasing
-    order, with ``residuals`` aligned: the absolute discounted value at
-    each rate, below ``RESIDUAL_TOLERANCE`` times the larger of the
-    amounts' total magnitude and their discounted total magnitude at that
-    rate. ``principal_root`` is the real root of smallest magnitude (ties
+    order, with ``residuals`` aligned: at each rate, the absolute
+    discounted value over the discounted total magnitude,
+    ``|Σ Cₖ·e^(−r·tₖ)| / Σ|Cₖ|·e^(−r·tₖ)``, below ``RESIDUAL_TOLERANCE``.
+    ``principal_root`` is the real root of smallest magnitude (ties
     to the positive one), or ``None`` when every root is complex.
+    Each real rate is listed once, however many estimates polish onto it.
     ``complex_root_count`` counts the remaining roots, so real plus
     complex equals ``degree``, the degree of the discretized polynomial
     after common factors of ``x`` are removed. ``base_step`` is the grid
@@ -221,9 +220,12 @@ def _durand_kerner(coeffs: np.ndarray) -> np.ndarray:
 
 def _polish_rate(times: np.ndarray, amounts: np.ndarray, rate: float) -> tuple[float, float]:
     """Newton-refine a candidate rate on the discounted-value function;
-    returns the refined rate and its absolute residual."""
+    returns it with its relative residual ``|Σ Cₖ·fₖ| / Σ|Cₖ|·fₖ``, each
+    ``fₖ = exp(−rate·tₖ)`` over the largest, 1: none overflows, and with
+    no amount 0 the denominator is positive."""
     for _ in range(50):
-        weights = amounts * np.exp(-rate * times)
+        exponents = -rate * times
+        weights = amounts * np.exp(exponents - exponents.max())
         value = float(np.sum(weights))
         slope = float(np.sum(-times * weights))
         if slope == 0.0:
@@ -232,8 +234,10 @@ def _polish_rate(times: np.ndarray, amounts: np.ndarray, rate: float) -> tuple[f
         rate -= step
         if abs(step) <= 1e-16 * max(1.0, abs(rate)):
             break
-    residual = abs(float(np.sum(amounts * np.exp(-rate * times))))
-    return rate, residual
+    exponents = -rate * times
+    factors = np.exp(exponents - exponents.max())
+    scale = float(np.sum(np.abs(amounts) * factors))
+    return rate, abs(float(np.sum(amounts * factors))) / scale
 
 
 def general_irr(schedule: CashFlowSchedule) -> IrrResult:
@@ -281,31 +285,27 @@ def general_irr(schedule: CashFlowSchedule) -> IrrResult:
     with np.errstate(all="ignore"):  # a diverging iteration is judged there
         roots = _durand_kerner(coeffs)
 
-    amount_scale = float(np.sum(np.abs(amounts)))
-    rates: list[float] = []
-    residuals: list[float] = []
+    live = amounts != 0.0  # no amount of 0 may hold the largest factor in the polish
+    times, amounts = times[live], amounts[live]
+    found: list[tuple[float, float]] = []
     for x in roots:
         if abs(x.imag) > 1e-8 * (1.0 + abs(x)) or x.real <= 0.0:
             continue
         rate, residual = _polish_rate(times, amounts, -math.log(x.real) / step)
-        discounted_scale = float(np.sum(np.abs(amounts) * np.exp(-rate * times)))
-        bound = RESIDUAL_TOLERANCE * max(amount_scale, discounted_scale)
-        # Judged scaled; a root whose residual is beyond float range is dropped.
-        if residual < bound and math.frexp(residual)[1] + exponent <= sys.float_info.max_exp:
-            rates.append(rate)
-            residuals.append(math.ldexp(residual, exponent))
-
-    order = sorted(range(len(rates)), key=lambda i: rates[i])
-    rates = [rates[i] for i in order]
-    residuals = [residuals[i] for i in order]
-    principal = None
-    if rates:
-        principal = min(rates, key=lambda r: (abs(r), 0 if r > 0 else 1))
+        if residual < RESIDUAL_TOLERANCE:
+            found.append((rate, residual))
+    # Estimates that stop short of their roots can polish onto one rate.
+    real: list[tuple[float, float]] = []
+    for rate, residual in sorted(found):
+        if not real or rate - real[-1][0] > 1e-12 * max(1.0, abs(rate)):
+            real.append((rate, residual))
+    rates = [rate for rate, _ in real]
+    principal = min(rates, key=lambda r: (abs(r), 0 if r > 0 else 1), default=None)
     return IrrResult(
         principal_root=principal,
         all_real_roots=tuple(rates),
         complex_root_count=degree - len(rates),
-        residuals=tuple(residuals),
+        residuals=tuple(residual for _, residual in real),
         base_step=step,
         degree=degree,
     )

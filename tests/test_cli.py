@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -695,6 +696,41 @@ class TestIrrCommand:
             principals += [line for line in capsys.readouterr().out.splitlines()
                            if line.startswith("principal")]
         assert principals == ["principal   : 0.00884824405"] * 2
+
+    def test_root_whose_discounted_amounts_leave_float_range_is_printed(self, tmp_path, capsys):
+        # Discounted at the root, these amounts reach 1e324; the same rows
+        # divided by 1e308 print the same principal root.
+        rows = ((97.0, 1.6107519317932944e308), (100.0, -5.110448605383279e307))
+        principals = []
+        for divisor in (1.0, 1e308):
+            flows = tmp_path / "flows.csv"
+            flows.write_text("time,amount\n" + "".join(f"{t!r},{a / divisor!r}\n" for t, a in rows))
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert main(["irr", "--cashflows", str(flows)]) == 0
+            principals += [line for line in capsys.readouterr().out.splitlines()
+                           if line.startswith("principal")]
+        assert principals == ["principal   : -0.382666337"] * 2
+
+    def test_root_whose_discount_factors_leave_float_range_is_printed(self, tmp_path, capsys):
+        # exp(-r * t) is e^4542 at the root ln(b/-a)/2.
+        flows = tmp_path / "flows.csv"
+        flows.write_text("time,amount\n54,-3.344584784795652e-214\n56,1.1951654166811383e-284\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["irr", "--cashflows", str(flows)]) == 0
+        assert "principal   : -81.1050072" in capsys.readouterr().out.splitlines()
+
+    def test_no_spurious_root_printed(self, tmp_path, capsys):
+        # One sign change: no real rate but ln(-b/a)/8 = 55.5248342.
+        flows = tmp_path / "flows.csv"
+        flows.write_text("time,amount\n1,2.375e-115\n9,-1.944e+78\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["irr", "--cashflows", str(flows)]) == 0
+        for line in capsys.readouterr().out.splitlines():
+            if line.startswith(("principal", "real root")) and "none" not in line:
+                assert line.split(":")[1].split()[0] == "55.5248342", line
 
     def test_all_positive_fails(self, tmp_path, capsys):
         flows = tmp_path / "flows.csv"

@@ -25,13 +25,13 @@ REAL_ROOT = re.compile(r"real root   : (\S+)  \(residual \S+\)")
 def cash_flow_csvs(draw):
     """A headed ``time,amount`` CSV on a grid of step 0.25, 0.5 or 1: events
     at exponent 0, up to 10 interior exponents and the degree (1 to 99),
-    amounts of magnitude 0.001 to 5 with both signs present."""
+    amounts of magnitude 10^U(-150, 150) with both signs present."""
     step = draw(st.sampled_from([0.25, 0.5, 1.0]))
     degree = draw(st.integers(1, 99))
     interior = draw(st.lists(st.integers(1, degree - 1), max_size=10)) if degree > 1 else []
     exponents = [0, *sorted(set(interior)), degree]
-    magnitudes = draw(st.lists(st.floats(0.001, 5.0), min_size=len(exponents),
-                               max_size=len(exponents)))
+    magnitudes = draw(st.lists(st.floats(-150.0, 150.0).map(lambda e: 10.0**e),
+                               min_size=len(exponents), max_size=len(exponents)))
     negative = draw(st.lists(st.booleans(), min_size=len(exponents), max_size=len(exponents)))
     if len(set(negative)) == 1:
         flip = draw(st.integers(0, len(exponents) - 1))
@@ -63,6 +63,9 @@ def test_irr_prints_finite_roots_or_one_error_line(flows, text):
     for value in NUMBER.findall(out):
         assert math.isfinite(float(value)), out
     times, amounts = np.loadtxt(io.StringIO(text), delimiter=",", skiprows=1, ndmin=2).T
+    # Descartes' rule for exponential sums: no more real rates than sign changes.
+    sign_changes = int(np.count_nonzero(np.diff(np.sign(amounts))))
+    assert len(REAL_ROOT.findall(out)) <= sign_changes, (out, text)
     for line in out.splitlines():
         if (match := REAL_ROOT.fullmatch(line)) is None:
             continue

@@ -279,13 +279,53 @@ class TestGeneralIrr:
         assert result.principal_root == pytest.approx(math.log((1 + math.sqrt(5)) / 2), abs=1e-12)
         assert math.isfinite(result.residuals[0])
 
-    def test_residual_beyond_float_range_is_not_reported(self):
-        # A real root near -0.383, where the discounted amounts reach 1e324:
-        # its residual, scaled back to the amounts, is beyond float range.
-        result = general_irr(schedule((97.0, 1.6107519317932944e308),
-                                      (100.0, -5.110448605383279e307)))
-        assert all(math.isfinite(residual) for residual in result.residuals)
-        assert len(result.all_real_roots) + result.complex_root_count == result.degree
+    @pytest.mark.parametrize(
+        "pairs, rate",
+        [
+            # The discounted amounts reach 1e324 at the root.
+            (((97.0, 1.6107519317932944e308), (100.0, -5.110448605383279e307)),
+             math.log(5.110448605383279e307 / 1.6107519317932944e308) / 3),
+            # exp(-r * t) is beyond float range at the root (e^4542).
+            (((54.0, -3.344584784795652e-214), (56.0, 1.1951654166811383e-284)),
+             math.log(1.1951654166811383e-284 / 3.344584784795652e-214) / 2),
+        ],
+        ids=["amounts-near-float-max", "factors-beyond-float-range"],
+    )
+    def test_root_whose_discounted_amounts_leave_float_range_is_kept(self, pairs, rate):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = general_irr(schedule(*pairs))
+        assert result.all_real_roots == (pytest.approx(rate, rel=1e-12),)
+        assert result.principal_root == result.all_real_roots[0]
+        assert result.residuals[0] < 1e-8
+        assert 1 + result.complex_root_count == result.degree
+
+    def test_no_spurious_root_where_the_amounts_span_193_decades(self):
+        # One sign change, so one real rate at most: ln(-b/a)/8 = 55.52. The
+        # iteration stops far from its roots; judged against the undiscounted
+        # amounts, four wrong rates near 32 passed as roots.
+        a, b = 2.375e-115, -1.944e78
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = general_irr(schedule((1.0, a), (9.0, b)))
+        for rate in result.all_real_roots:
+            assert rate == pytest.approx(math.log(-b / a) / 8, rel=1e-9)
+
+    def test_estimates_polished_onto_one_rate_are_one_root(self):
+        # x**9 = -a/b has one positive root, but four estimates stop short of
+        # it on the positive side and each polishes onto it.
+        a, b = 3.825123704809136e69, -4.472561125671863e186
+        result = general_irr(schedule((1.0, a), (10.0, b)))
+        assert result.all_real_roots == (pytest.approx(math.log(-b / a) / 9, rel=1e-12),)
+        assert result.complex_root_count == 8
+
+    def test_root_where_a_zero_amount_holds_the_largest_factor(self):
+        # At the root, e^-r = 1e-320: the event at 0 carries the largest
+        # factor, 1, and the other weighted terms underflow to 0.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = general_irr(schedule((0.0, 0.0), (1.0, -1e-320), (2.0, 1.0)))
+        assert result.all_real_roots == (pytest.approx(-math.log(1e-320), rel=1e-12),)
 
     def test_amount_lost_beside_the_largest_is_a_typed_error(self):
         # Scaled beside 1e308, -1e-320 is 0, so one grid instant is left.
@@ -390,12 +430,12 @@ def test_scaling_amounts_leaves_roots_unchanged(scale):
 @given(power=st.integers(-1000, 1023))
 def test_power_of_two_scaling_is_exact(power):
     # The amounts are scaled by a power of two before any sum, so one more
-    # power of two changes no root and scales each residual exactly.
+    # power of two changes no root and no relative residual.
     rows = ((0.0, -1.0), (1.0, 0.3), (2.5, 0.6), (4.0, -0.2), (6.0, 1.1))
     base = general_irr(schedule(*rows))
     scaled = general_irr(schedule(*((t, math.ldexp(a, power)) for t, a in rows)))
     assert base.all_real_roots and scaled.all_real_roots == base.all_real_roots
-    assert scaled.residuals == tuple(math.ldexp(r, power) for r in base.residuals)
+    assert scaled.residuals == base.residuals
     assert scaled.complex_root_count == base.complex_root_count
 
 
