@@ -8,7 +8,8 @@ that of a uniform grid over the whole span. Neighbouring pieces
 share the node at their cut, so panel ``k`` covers nodes ``2k .. 2k+2``
 and no panel straddles a cut. A span with no cut inside is one piece,
 whose nodes are those of ``np.linspace`` bit for bit, built in place
-from ``np.arange`` with linspace's own arithmetic.
+from ``np.arange`` with linspace's own arithmetic, once per
+``(start, end, n)``: the latest such array is shared, and read-only.
 :func:`_definite_integral` integrates over the grid and
 :func:`cumulative_simpson_nodes` gives the running integral at every
 node. Where finite samples overflow a sum whose value fits in a float,
@@ -23,6 +24,8 @@ up to rounding. A kink inside a panel would cost ``h**2``, hence the cuts.
 from __future__ import annotations
 
 import math
+import numbers
+from functools import lru_cache
 
 import numpy as np
 
@@ -38,34 +41,26 @@ def _grid(start: float, end: float, cuts, intervals: int):
     """Simpson nodes over ``[start, end]``, cut at every point of ``cuts``
     strictly inside it; ``end`` must exceed ``start``. A point given twice
     gets a panel of zero width there, across which the integrand may jump.
-    ``intervals`` below 2 counts as 2; NaN or above ``MAX_INTERVALS`` is
-    a DomainError, checked before it sizes any array.
+    ``intervals`` below 2 counts as 2; a value that is not a real number
+    (a bool included), NaN or above ``MAX_INTERVALS`` is a DomainError,
+    checked before it sizes any array.
 
     Returns ``(nodes, steps)``: the node times and the step of each
-    panel, a single float when the span is one piece.
+    panel, a single float when the span is one piece. A one-piece grid's
+    nodes come from :func:`_uniform_nodes`, shared and read-only.
     """
+    if isinstance(intervals, bool) or not isinstance(intervals, numbers.Real):
+        raise DomainError(f"quadrature intervals must be a number: {intervals!r}")
     if not intervals <= MAX_INTERVALS:
         raise DomainError(f"quadrature intervals must be at most {MAX_INTERVALS}: {intervals!r}")
+    intervals = max(intervals, 2)  # so that -inf counts as 2 too
     inner = np.asarray(cuts, dtype=float)
     if inner.size:
         inner = inner[(inner > start) & (inner < end)]
-    if not inner.size:
-        # One piece, as on every smooth path. The nodes are built with
-        # numpy's own linspace arithmetic, in place, so they equal
-        # np.linspace(start, end, n + 1) bit for bit at a fraction of its
-        # cost: `sweep` builds eight one-piece grids per row.
-        n = max(2, math.ceil(intervals))
+    if not inner.size:  # one piece, as on every smooth path
+        n = math.ceil(intervals)
         n += n % 2
-        step = (end - start) / n
-        nodes = np.arange(n + 1, dtype=float)
-        if step:
-            nodes *= step
-        else:  # a span of a few denormals, which linspace scales as a whole
-            nodes /= n
-            nodes *= end - start
-        nodes += start
-        nodes[-1] = end
-        return nodes, step
+        return _uniform_nodes(start, end, n), (end - start) / n
     edges = np.sort(np.concatenate(([start, end], inner)))
     widths = np.diff(edges)
     counts = np.ceil(intervals * (widths / (end - start))).astype(np.int64)
@@ -79,6 +74,27 @@ def _grid(start: float, end: float, cuts, intervals: int):
     nodes[:-1] += np.repeat(edges[:-1], counts)
     nodes[-1] = end
     return nodes, np.repeat(steps, counts // 2)
+
+
+@lru_cache(maxsize=1)
+def _uniform_nodes(start: float, end: float, n: int) -> np.ndarray:
+    """The ``n + 1`` nodes of ``np.linspace(start, end, n + 1)`` bit for
+    bit, built in place with numpy's own linspace arithmetic at a fraction
+    of its cost. Every pass over one rotation asks for the same nodes,
+    eight times per `sweep` row, so the latest array is kept rather than
+    built again; it is read-only because all those passes, in any
+    thread, share it."""
+    step = (end - start) / n
+    nodes = np.arange(n + 1, dtype=float)
+    if step:
+        nodes *= step
+    else:  # a span of a few denormals, which linspace scales as a whole
+        nodes /= n
+        nodes *= end - start
+    nodes += start
+    nodes[-1] = end
+    nodes.flags.writeable = False
+    return nodes
 
 
 def _definite_integral(values: np.ndarray, steps) -> float:
@@ -124,9 +140,18 @@ def cumulative_simpson_nodes(values: np.ndarray, steps) -> np.ndarray:
 
 
 def _running_sums(values: np.ndarray, steps) -> np.ndarray:
+    # steps/12 * (5*y0 + 8*y1 - y2) and steps/3 * (y0 + 4*y1 + y2), each
+    # built in one buffer with the same operations per element.
     y0, y1, y2 = values[:-2:2], values[1:-1:2], values[2::2]
-    half = steps / 12.0 * (5.0 * y0 + 8.0 * y1 - y2)
-    full = steps / 3.0 * (y0 + 4.0 * y1 + y2)
+    half = np.multiply(y0, 5.0)
+    full = np.multiply(y1, 8.0)
+    half += full
+    half -= y2
+    half *= steps / 12.0
+    np.multiply(y1, 4.0, out=full)
+    full += y0
+    full += y2
+    full *= steps / 3.0
     out = np.empty_like(values, dtype=float)
     out[0] = 0.0
     np.cumsum(full, out=out[2::2])

@@ -4,15 +4,27 @@ The one-piece grid, the clip into a path's domain and the Simpson sums
 skip work that cannot change a bit: each test here compares them, under
 ``np.array_equal`` or ``==``, with the straightforward code they replace
 (``np.linspace``, an unconditional ``np.clip``, the unfused Simpson
-formulas), which is copied below as the reference.
+formulas), which is copied below as the reference. The one-piece grid
+is also shared between passes: it is read-only, and threads that share
+it get the values of a serial run.
 """
 
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
 
-from capreturn import ConstantPath, ReversedPath, SinSquaredPath, TabulatedPath
+from capreturn import (
+    ConstantPath,
+    DomainError,
+    GrowthScenario,
+    ReversedPath,
+    SinSquaredPath,
+    TabulatedPath,
+    rroc,
+)
 from capreturn.paths import _DOMAIN_SLACK
 from capreturn.quadrature import _definite_integral, _grid, cumulative_simpson_nodes
 
@@ -115,6 +127,67 @@ def test_cuts_outside_the_span_give_the_one_piece_grid(cuts):
     expected, expected_step = linspace_grid(0.0, 7.3, 4096)
     assert np.array_equal(nodes, expected)
     assert step == expected_step
+
+
+def test_one_piece_grid_is_shared_and_read_only():
+    first, _ = _grid(0.0, 7.3, (), 4096)
+    second, _ = _grid(0.0, 7.3, (), 4096)
+    assert second is first
+    with pytest.raises(ValueError):
+        first[1] = 0.0
+    assert np.array_equal(first, linspace_grid(0.0, 7.3, 4096)[0])
+
+
+@pytest.mark.parametrize("intervals", ["x", None, [4096], True, False])
+def test_intervals_that_are_not_numbers_raise_domain_error(intervals):
+    with pytest.raises(DomainError, match="quadrature intervals must be a number"):
+        rroc(GrowthScenario(1.0, 40.0, HUMP), intervals=intervals)
+
+
+@pytest.mark.parametrize(
+    "intervals, same_as",
+    [(np.int64(4096), 4096), (4096.0, 4096), (np.float64(4095.5), 4096), (-math.inf, 2)],
+)
+def test_intervals_of_any_real_type_count_by_value(intervals, same_as):
+    for cuts in ((), (12.5,)):
+        expected = _grid(0.0, 40.0, cuts, same_as)
+        nodes, steps = _grid(0.0, 40.0, cuts, intervals)
+        assert np.array_equal(nodes, expected[0]) and np.array_equal(steps, expected[1])
+    scenario = GrowthScenario(1.0, 40.0, HUMP)
+    assert rroc(scenario, intervals=intervals) == rroc(scenario, intervals=same_as)
+
+
+def test_threads_sharing_grids_match_a_serial_run():
+    paths = (HUMP, ReversedPath(HUMP, 60.0))
+    taus = np.linspace(3.0, 60.0, 20).tolist()
+
+    def values():
+        return [
+            (path.cumulative_return(tau), rroc(GrowthScenario(1.0, tau, path)))
+            for tau in taus
+            for path in paths
+        ]
+
+    expected = values()
+    barrier = threading.Barrier(4, timeout=60)
+    results = {}
+
+    def work(k):
+        barrier.wait()
+        results[k] = values()
+
+    threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert results == {k: expected for k in range(4)}
 
 
 # -- the Simpson sums -------------------------------------------------------
